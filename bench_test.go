@@ -754,7 +754,7 @@ func analyzeFresh(b *testing.B, fw *misam.Framework, dev *misam.Accelerator, a, 
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := fw.AnalyzeOn(context.Background(), dev, wl); err != nil {
+	if _, err := fw.Serve(context.Background(), &misam.Request{Workload: wl, Device: dev}); err != nil {
 		b.Fatal(err)
 	}
 }
@@ -814,7 +814,7 @@ func analyzeFastFresh(b *testing.B, fw *misam.Framework, dev *misam.Accelerator,
 	if err != nil {
 		b.Fatal(err)
 	}
-	rep, err := fw.AnalyzeFastOn(context.Background(), dev, wl)
+	rep, err := fw.Serve(context.Background(), &misam.Request{Workload: wl, Device: dev})
 	if err != nil {
 		b.Fatal(err)
 	}

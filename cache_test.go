@@ -40,6 +40,9 @@ func sameDeterministicReport(t *testing.T, tag string, got, want Report) {
 		t.Errorf("%s: util/energy (%v, %v), want (%v, %v)",
 			tag, got.PEUtilization, got.EnergyJoules, want.PEUtilization, want.EnergyJoules)
 	}
+	if got.Baseline != want.Baseline {
+		t.Errorf("%s: baselines %+v, want %+v", tag, got.Baseline, want.Baseline)
+	}
 }
 
 // TestCacheAnalyzeBitIdentical: a warm cache hit must reproduce the
@@ -67,11 +70,11 @@ func TestCacheAnalyzeBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := fw.AnalyzeOn(ctx, devU, wu)
+		want, err := fw.Serve(ctx, &Request{Workload: wu, Device: devU})
 		if err != nil {
 			t.Fatalf("pass %d uncached: %v", pass, err)
 		}
-		got, err := cfw.AnalyzeOn(ctx, devC, wc)
+		got, err := cfw.Serve(ctx, &Request{Workload: wc, Device: devC})
 		if err != nil {
 			t.Fatalf("pass %d cached: %v", pass, err)
 		}
@@ -145,11 +148,11 @@ func TestCachePrunedFlavourSalted(t *testing.T) {
 
 	a := RandUniform(51, 300, 300, 0.05)
 	b := RandDense(52, 300, 8)
-	if fw.analysisKey(a, b) == (&pruned).analysisKey(a, b) {
+	if fw.AnalysisKey(a, b) == (&pruned).AnalysisKey(a, b) {
 		t.Fatal("pruned and full feature flavours share a cache key")
 	}
 	// Same flavour, same content: the key is stable.
-	if fw.analysisKey(a, b) != fw.analysisKey(a, b) {
+	if fw.AnalysisKey(a, b) != fw.AnalysisKey(a, b) {
 		t.Fatal("analysis key is not deterministic")
 	}
 }

@@ -18,6 +18,12 @@ go vet ./...
 echo "==> go build ./..."
 go build ./...
 
+# The benchmark harness is its own module: without these lines a root API
+# change that breaks benchmark/probes.go only shows up at benchmark time.
+echo "==> benchmark module: go vet + go test -short"
+go vet -C benchmark ./...
+go test -C benchmark -short ./...
+
 echo "==> go test -race -shuffle=on ./..."
 # -timeout raised past the 10m default: internal/reconfig alone runs
 # ~10m under the race detector on a single-core host.
@@ -44,6 +50,12 @@ go test -race -run 'TestEarlyExitRacingBound|TestTileBoundRaceHammer' ./internal
 # -run filter on the main pass can't silently skip them.
 echo "==> placement pool hammer (-race)"
 go test -race -run 'TestAcquirePreferredHammer|TestSaturatedHandoverIsFIFO' ./internal/fleet/
+
+# Every serving configuration (cache, placement, fast path, transport,
+# batching, cluster) must answer one request stream identically: the
+# proof that the single request pipeline has no per-configuration fork.
+echo "==> serving configurations differential (-race)"
+go test -race -run 'TestServeConfigurationsAgree' ./internal/server/
 
 # Benchmark smoke: one iteration of the fingerprint/memo/cache/registry/
 # fast-path/steady-state benchmarks so their harness code can't rot.

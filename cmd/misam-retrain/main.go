@@ -73,15 +73,11 @@ func main() {
 
 	ctx := context.Background()
 	drifted := false
-	analyze := fw.Analyze
-	if *fastPath {
-		analyze = fw.AnalyzeFast
-	}
 	replay := func(label string, n int, gen func(i int) (*misam.Matrix, *misam.Matrix)) {
 		fmt.Printf("\n== %s: %d requests ==\n", label, n)
 		for i := 0; i < n; i++ {
 			a, b := gen(i)
-			if _, err := analyze(ctx, a, b); err != nil {
+			if _, err := fw.Analyze(ctx, a, b); err != nil {
 				log.Fatalf("analyze: %v", err)
 			}
 			if (i+1)%*checkpoint == 0 || i == n-1 {

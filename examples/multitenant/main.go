@@ -90,24 +90,14 @@ func serveFleet() {
 		wg.Add(1)
 		go func(j job) {
 			defer wg.Done()
-			err := fl.Do(context.Background(), func(dev *misam.Accelerator) error {
-				w, err := misam.NewWorkload(j.a, j.b)
-				if err != nil {
-					return err
-				}
-				rep, err := fw.AnalyzeOn(context.Background(), dev, w)
-				if err != nil {
-					return err
-				}
-				mu.Lock()
-				fmt.Printf("  %-7s on %s → %v (%.3f ms, reconfig %v)\n",
-					j.tenant, rep.Device, rep.Design, rep.SimulatedSeconds*1e3, rep.Reconfigured)
-				mu.Unlock()
-				return nil
-			})
+			rep, err := fw.Serve(context.Background(), &misam.Request{A: j.a, B: j.b, Fleet: fl})
 			if err != nil {
 				log.Fatal(err)
 			}
+			mu.Lock()
+			fmt.Printf("  %-7s on %s → %v (%.3f ms, reconfig %v)\n",
+				j.tenant, rep.Device, rep.Design, rep.SimulatedSeconds*1e3, rep.Reconfigured)
+			mu.Unlock()
 		}(j)
 	}
 	wg.Wait()

@@ -3,31 +3,27 @@ package misam
 // Confidence-gated two-tier serving (the paper's §3/§5.3 thesis taken
 // seriously): the decision tree was trained to *replace* the expensive
 // oracle, so the serving hot path should run the tree, not the
-// simulator. AnalyzeFast serves tier 1 — features, compiled-tree
-// proposal, and a Decision priced entirely from the snapshot's latency
-// regressors — whenever the selector leaf is confident enough. Requests
-// the model is unsure about, plus a deterministic 1-in-N audit sample,
-// fall through to tier 2, the full four-simulation pipeline (AnalyzeOn).
-// A bounded background verifier re-simulates a sample of fast-path hits
-// off the request path and feeds the labelled traces to the online
-// adaptation loop, which would otherwise starve the moment simulation
-// left the request path.
+// simulator. With WithFastPath, Serve's gate stage answers tier 1 —
+// features, compiled-tree proposal, and a Decision priced entirely from
+// the snapshot's latency regressors — whenever the selector leaf is
+// confident enough. Requests the model is unsure about, plus a
+// deterministic 1-in-N audit sample, fall through to tier 2, the
+// simulating full tier. A bounded background verifier re-simulates a
+// sample of fast-path hits off the request path and feeds the labelled
+// traces to the online adaptation loop, which would otherwise starve the
+// moment simulation left the request path.
 
 import (
 	"context"
-	"fmt"
 	"sync/atomic"
-	"time"
 
-	"misam/internal/features"
-	"misam/internal/memo"
 	"misam/internal/online"
 	"misam/internal/sim"
 )
 
 // Report.Path values.
 const (
-	// PathFull marks a report produced by the full-simulation pipeline.
+	// PathFull marks a report produced by the simulating full tier.
 	PathFull = "full"
 	// PathFast marks a report served from the model alone: the chosen
 	// design was priced by the latency regressors and never simulated, so
@@ -40,15 +36,15 @@ type FastPathConfig struct {
 	// Confidence is the gate: a request is served from the model when the
 	// selector leaf's probability mass for the proposed design is at
 	// least this. Values >= 1 disable the fast path entirely — every
-	// request takes the full pipeline, bit-identical to a framework
-	// without WithFastPath.
+	// request takes the full tier, bit-identical to a framework without
+	// WithFastPath.
 	Confidence float64
 	// MinMargin additionally requires the leaf's margin over the
 	// runner-up design (confidence minus the runner-up's mass). Zero
 	// imposes no margin requirement.
 	MinMargin float64
-	// SlowEvery forces every Nth gate-passing request down the full
-	// pipeline anyway, keeping a deterministic simulated sample of the
+	// SlowEvery forces every Nth gate-passing request down the full tier
+	// anyway, keeping a deterministic simulated sample of the
 	// high-confidence slice on the request path. 0 disables.
 	SlowEvery int
 	// VerifySample offers one in N fast-path hits to the background
@@ -98,7 +94,7 @@ type FastPathStats struct {
 	Enabled bool `json:"enabled"`
 	// Confidence echoes the configured gate threshold.
 	Confidence float64 `json:"confidence"`
-	// Served counts every AnalyzeFast request; Fast the ones answered
+	// Served counts every request Serve accepted; Fast the ones answered
 	// from the model; Slow the ones that fell through to full simulation
 	// (low confidence, margin miss, SlowEvery sample, or disabled gate).
 	Served int64 `json:"served"`
@@ -177,114 +173,20 @@ func (f *Framework) Close() {
 	}
 }
 
-// AnalyzeFast is Analyze through the two-tier pipeline on the
-// framework's default device.
-func (f *Framework) AnalyzeFast(ctx context.Context, a, b *Matrix) (Report, error) {
-	w, err := sim.NewWorkload(a, b)
-	if err != nil {
-		return Report{}, fmt.Errorf("misam: analyze: %w", err)
-	}
-	return f.AnalyzeFastOn(ctx, f.device, w)
-}
-
-// AnalyzeFastOn serves one request through the confidence gate against
-// dev. High-confidence requests are answered from the model snapshot
-// alone: compiled-tree proposal, decide/apply priced by the latency
-// regressors, PredictedSeconds as the latency estimate, and zero
-// simulator-derived fields (Path reports which tier answered). Everything
-// else — low confidence, thin margin, the SlowEvery audit sample, or a
-// framework without WithFastPath — delegates to AnalyzeOn unchanged.
-func (f *Framework) AnalyzeFastOn(ctx context.Context, dev *Accelerator, w *sim.Workload) (Report, error) {
-	fp := f.fastpath
-	if fp == nil {
-		return f.AnalyzeOn(ctx, dev, w)
-	}
-	fp.served.Add(1)
-	if fp.cfg.Confidence >= 1 {
-		// Gate can never pass: skip straight to the full pipeline without
-		// spending a feature extraction on the gate. This is the
-		// bit-identical-at-threshold-1.0 contract.
-		fp.slow.Add(1)
-		return f.AnalyzeOn(ctx, dev, w)
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-
-	t0 := time.Now()
-	ent, _, err := f.fastEntry(ctx, w)
-	if err != nil {
-		fp.slow.Add(1)
-		return Report{Device: dev.Name(), Path: PathFull}, fmt.Errorf("misam: analyze: %w", err)
-	}
-	v := ent.Features
-	pre := time.Since(t0).Seconds()
-
-	// One snapshot for gate, pricing and prediction (and for stamping the
-	// verify job) — a concurrent promotion can never split one request
-	// across model generations.
-	snap := f.snapshot()
-	t1 := time.Now()
-	proposed, conf, margin := snap.SelectConfident(v)
-	pass := conf >= fp.cfg.Confidence && margin >= fp.cfg.MinMargin
-	if pass && fp.cfg.SlowEvery > 0 && fp.gateSeq.Add(1)%int64(fp.cfg.SlowEvery) == 0 {
-		pass = false
-	}
-	if !pass {
-		fp.slow.Add(1)
-		rep, err := f.AnalyzeOn(ctx, dev, w)
-		rep.Confidence = conf
-		return rep, err
-	}
-	fp.fast.Add(1)
-	if f.traces != nil {
-		// A fast hit never simulates, so it offers no training trace —
-		// but its proposal is bitstream demand the portfolio rebalancer
-		// must see, or a fast-path-dominated fleet would rebalance on
-		// the unrepresentative slow-tier slice alone.
-		f.traces.ObserveProposal(proposed)
-	}
-
-	dec := dev.DecideApplyWith(snap.Engine(), v, proposed, 1)
-	var rep Report
-	rep.Device = dev.Name()
-	rep.Path = PathFast
-	rep.Confidence = conf
-	rep.ModelVersion = snap.Version()
-	rep.PreprocessSeconds = pre
-	rep.InferenceSeconds = time.Since(t1).Seconds()
-	rep.Design = dec.Target
-	rep.Reconfigured = dec.Reconfigure
-	rep.ReconfigSec = dec.ReconfigSeconds
-	rep.PredictedSeconds = snap.Engine().Predictor.Predict(v, dec.Target)
-	// No simulation ran: the predicted latency stands in for the hardware
-	// time, and the simulator-only fields stay zero.
-	rep.TotalSeconds = rep.PreprocessSeconds + rep.InferenceSeconds + rep.ReconfigSec + rep.PredictedSeconds
-
-	f.maybeOfferVerify(fp, snap.Version(), v, proposed, func() (*Workload, error) { return w, nil })
-	return rep, nil
-}
-
 // maybeOfferVerify samples 1-in-VerifySample fast hits into the
-// background verifier. workload is resolved at offer time, inside the
-// request — the zero-copy wire path uses this to hand the audit an
-// independent DecodeCopy, since the job outlives the pooled request
-// buffer its own matrices alias. A workload error silently skips the
-// offer (the serving answer already shipped; an audit must never fail a
-// request).
-func (f *Framework) maybeOfferVerify(fp *fastPath, version uint64, v features.Vector, proposed Design, workload func() (*Workload, error)) {
+// background verifier. The job outlives the request, so it gets operands
+// that own their memory (wire operands alias the request's buffer and
+// pooled scratch) and the request's already-computed key.
+func (f *Framework) maybeOfferVerify(fp *fastPath, r *Request, version uint64, v FeatureVector, proposed Design) {
 	if fp.verifier == nil || fp.cfg.VerifySample <= 0 ||
 		(fp.verifySeq.Add(1)-1)%int64(fp.cfg.VerifySample) != 0 {
 		return
 	}
-	w, err := workload()
-	if err != nil {
-		return
-	}
+	audit := &Request{Workload: r.ownedWorkload(), key: r.key, keyed: r.keyed}
 	// The audit re-simulates a pair the serving path just built; with the
 	// shared tile cache attached, its schedules come from that run's
 	// memoized tiles instead of being recomputed.
-	f.attachTileCache(w)
+	f.attachTileCache(audit.Workload)
 	fp.verifier.Offer(online.VerifyJob{
 		Features:     v,
 		Predicted:    proposed,
@@ -294,49 +196,15 @@ func (f *Framework) maybeOfferVerify(fp *fastPath, version uint64, v features.Ve
 				// The pruned tier's loser entries are lower bounds, so
 				// they must not populate the (exact-keyed) analysis
 				// cache; simulate directly on the shared Workload.
-				return w.SimulateAllPrunedCtx(ctx)
+				return audit.Workload.SimulateAllPrunedCtx(ctx)
 			}
-			// Route through AnalysisFor: with a cache enabled the audit
-			// also warms the pair's full Analysis for future requests.
-			an, _, err := f.AnalysisFor(ctx, w)
+			// With a cache enabled the audit also warms the pair's full
+			// Analysis for future requests.
+			an, err := f.analysis(ctx, audit)
 			if err != nil {
 				return [sim.NumDesigns]sim.Result{}, err
 			}
 			return an.Results, nil
 		},
-	})
-}
-
-// buildFastEntry derives the fast-path artifacts — the feature vector in
-// the framework's flavour plus the baseline cost-model stats — from a
-// workload. fused, when non-nil, backs the full-flavour extraction with
-// pooled one-pass scratch (bit-identical to features.Extract either way).
-func (f *Framework) buildFastEntry(ctx context.Context, w *Workload, fused *features.FusedScratch) (memo.FastEntry, error) {
-	if err := ctx.Err(); err != nil {
-		return memo.FastEntry{}, err
-	}
-	var e memo.FastEntry
-	switch {
-	case f.Options.TopFeaturesOnly:
-		e.Features = features.ExtractPruned(w.A, w.B)
-	case fused != nil:
-		e.Features, _ = fused.Extract(w.A, w.B)
-	default:
-		e.Features = features.Extract(w.A, w.B)
-	}
-	e.Baseline = w.BaselineStats()
-	return e, nil
-}
-
-// fastEntry resolves the request's fast-path entry (features + baseline
-// stats), through the cache's fast entries when a cache is enabled
-// (salted keyspace — never confused with full Analyses).
-func (f *Framework) fastEntry(ctx context.Context, w *Workload) (memo.FastEntry, bool, error) {
-	if f.cache == nil {
-		e, err := f.buildFastEntry(ctx, w, nil)
-		return e, false, err
-	}
-	return f.cache.DoFast(ctx, f.analysisKey(w.A, w.B), func(ctx context.Context) (memo.FastEntry, error) {
-		return f.buildFastEntry(ctx, w, nil)
 	})
 }

@@ -53,7 +53,7 @@ func TestFastPathThresholdOneBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := gated.AnalyzeFast(ctx, p[0], p[1])
+		got, err := gated.Analyze(ctx, p[0], p[1])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -101,7 +101,7 @@ func TestFastPathServesFromModel(t *testing.T) {
 	ctx := context.Background()
 	var fast, slow int
 	for _, p := range fastTestPairs() {
-		rep, err := gated.AnalyzeFast(ctx, p[0], p[1])
+		rep, err := gated.Analyze(ctx, p[0], p[1])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -190,7 +190,7 @@ func TestFastPathVerifierFeedsOnlineLoop(t *testing.T) {
 
 	ctx := context.Background()
 	for _, p := range fastTestPairs() {
-		if _, err := fw.AnalyzeFast(ctx, p[0], p[1]); err != nil {
+		if _, err := fw.Analyze(ctx, p[0], p[1]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -242,7 +242,7 @@ func TestFastPathPrunedVerify(t *testing.T) {
 
 	ctx := context.Background()
 	for _, p := range fastTestPairs() {
-		if _, err := fw.AnalyzeFast(ctx, p[0], p[1]); err != nil {
+		if _, err := fw.Analyze(ctx, p[0], p[1]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -274,7 +274,7 @@ func TestFastPathPrunedVerify(t *testing.T) {
 		}
 	}
 	// Fast-path hits use the salted features-only keyspace; with pruned
-	// audits bypassing AnalysisFor, only explicit slow-path requests may
+	// audits bypassing the analysis cache, only slow-path requests may
 	// touch the full-analysis entries. All audits were pruned, so the
 	// full-entry traffic must equal the slow-path request count.
 	cs, _ := fw.CacheStats()
@@ -296,7 +296,7 @@ func TestFastPathSlowEverySampling(t *testing.T) {
 	defer fw.Close()
 	ctx := context.Background()
 	for _, p := range fastTestPairs() {
-		if _, err := fw.AnalyzeFast(ctx, p[0], p[1]); err != nil {
+		if _, err := fw.Analyze(ctx, p[0], p[1]); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -112,22 +112,13 @@ func FastPathReport(ctxE *Context, path string, w io.Writer) (FastPathReportData
 		ns  int64
 		rep misam.Report
 	}
-	serve := func(f *misam.Framework, fast bool) ([]reqResult, float64, error) {
+	serve := func(f *misam.Framework) ([]reqResult, float64, error) {
 		dev := f.NewDevice("bench")
 		out := make([]reqResult, 0, len(pairs))
 		start := time.Now()
 		for _, p := range pairs {
 			t0 := time.Now()
-			wl, err := misam.NewWorkload(p.a, p.b)
-			if err != nil {
-				return nil, 0, err
-			}
-			var r misam.Report
-			if fast {
-				r, err = f.AnalyzeFastOn(context.Background(), dev, wl)
-			} else {
-				r, err = f.AnalyzeOn(context.Background(), dev, wl)
-			}
+			r, err := f.Serve(context.Background(), &misam.Request{A: p.a, B: p.b, Device: dev})
 			if err != nil {
 				return nil, 0, err
 			}
@@ -139,7 +130,7 @@ func FastPathReport(ctxE *Context, path string, w io.Writer) (FastPathReportData
 	// Baseline: the plain pipeline, and the per-pair simulated optimum
 	// the tiers' agreement is judged against.
 	bcp := *fw
-	base, baseRPS, err := serve((&bcp).WithCache(64<<20), false)
+	base, baseRPS, err := serve((&bcp).WithCache(64 << 20))
 	if err != nil {
 		return rep, fmt.Errorf("experiments: fastpath baseline: %w", err)
 	}
@@ -154,7 +145,7 @@ func FastPathReport(ctxE *Context, path string, w io.Writer) (FastPathReportData
 	for _, th := range []float64{0.6, 0.8, 0.9, 1.0} {
 		cp := *fw
 		tfw := (&cp).WithCache(64 << 20).WithFastPath(misam.FastPathConfig{Confidence: th, VerifySample: 0})
-		res, rps, err := serve(tfw, true)
+		res, rps, err := serve(tfw)
 		tfw.Close()
 		if err != nil {
 			return rep, fmt.Errorf("experiments: fastpath tier %.2f: %w", th, err)

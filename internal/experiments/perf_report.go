@@ -189,7 +189,7 @@ func PerfReport(path string, w io.Writer) (PerfReportData, error) {
 		if err != nil {
 			return err
 		}
-		_, err = f.AnalyzeOn(context.Background(), dev, wl)
+		_, err = f.Serve(context.Background(), &misam.Request{Workload: wl, Device: dev})
 		return err
 	}
 	warmCp := *fw

@@ -274,28 +274,17 @@ func PlacementReport(ctxE *Context, path string, w io.Writer) (PlacementReportDa
 	run := func(fl *misam.Fleet, placed bool, rb *placement.Rebalancer) ([]requestRecord, error) {
 		recs := make([]requestRecord, len(stream))
 		for i, c := range stream {
-			var r misam.Report
-			var err error
+			req := &misam.Request{Workload: c.wl, Fleet: fl}
 			if placed {
-				dev, aerr := fw.AcquirePlaced(ctx, fl, c.wl, misam.PlacementConfig{})
-				if aerr != nil {
-					return nil, aerr
-				}
-				r, err = fw.AnalyzeOn(ctx, dev, c.wl)
-				fl.Release(dev)
-			} else {
-				err = fl.Do(ctx, func(dev *misam.Accelerator) error {
-					var e error
-					r, e = fw.AnalyzeOn(ctx, dev, c.wl)
-					return e
-				})
+				req.Placement = &misam.PlacementConfig{}
 			}
+			r, err := fw.Serve(ctx, req)
 			if err != nil {
 				return nil, fmt.Errorf("experiments: placement request %d: %w", i, err)
 			}
-			an, _, err := fw.AnalysisFor(ctx, c.wl)
-			if err != nil {
-				return nil, fmt.Errorf("experiments: placement analysis %d: %w", i, err)
+			an := req.Analysis()
+			if an == nil {
+				return nil, fmt.Errorf("experiments: placement request %d was served without an analysis", i)
 			}
 			recs[i] = requestRecord{analysis: *an, version: r.ModelVersion}
 			if rb != nil && (i+1)%8 == 0 {

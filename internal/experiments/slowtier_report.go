@@ -182,7 +182,7 @@ func SlowTierReport(ctxE *Context, path string, w io.Writer) (SlowTierReportData
 	rep.ArgminAgreement = float64(agree) / float64(len(pairs))
 	rep.PrunedShare = float64(prunedEvals) / float64(len(pairs)*int(sim.NumDesigns))
 
-	// The PR5 record timed the full AnalyzeOn path over this same stream;
+	// The PR5 record timed the full-tier serving path over this same stream;
 	// its baseline_p50_ns_op is the slow-tier cost the fast path was
 	// built to avoid — and the pruned tier now shrinks.
 	if data, err := os.ReadFile("BENCH_PR5.json"); err == nil {

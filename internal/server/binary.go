@@ -8,27 +8,23 @@ package server
 //
 // The payoff over MatrixMarket-over-JSON is structural: the body parses
 // with header reads only (validation walks integer words in place), the
-// decoded matrices alias the pooled request buffer on aligned
-// little-endian hosts, and on the fast-path tier a warm request is
-// answered from the wire fingerprint without materializing operands at
-// all. Per-request state (body buffer, CSR arenas, fused-extraction
-// grids) is pooled, so a steady-state binary request performs no
-// ingestion allocations.
+// pipeline keys the request straight off the wire words, and the
+// operands are decoded — aliasing the pooled request buffer on aligned
+// little-endian hosts — only when a stage needs them; a warm fast-path
+// hit never does. Per-request state (body buffer, CSR arenas,
+// fused-extraction grids) is pooled, so a steady-state binary request
+// performs no ingestion allocations.
 //
-// Aliasing discipline: matrices decoded via DecodeInto live exactly as
-// long as the request's body buffer. The pipelines that retain operand
-// references beyond the response — AnalyzeFastOn's background verify
-// sample under FastPath+Placement — get DecodeCopy instead. The
-// fast-wire path (FastPath without Placement) handles its own audit
-// copies inside AnalyzeFastWire.
+// Aliasing discipline: the views, and anything decoded from them, live
+// exactly as long as the request's body buffer, which returns to the
+// pool only after the response is written. The one consumer that
+// outlives the response — the fast path's background verify job — takes
+// its own copy inside misam.Framework.Serve.
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"mime"
 	"net/http"
-	"sync"
 
 	"misam"
 )
@@ -37,27 +33,19 @@ import (
 // endpoints.
 const BinaryContentType = "application/x-misam-csr"
 
-// binaryRequest reports whether r negotiates the binary wire format, and
-// rejects it when the deployment disabled it.
-func (s *Server) binaryRequest(r *http.Request) (bool, *httpError) {
-	ct := r.Header.Get("Content-Type")
-	if ct == "" {
-		return false, nil
-	}
-	mt, _, err := mime.ParseMediaType(ct)
+// contentType reports the analyze body's format — BinaryContentType or
+// JSON — and rejects binary when the deployment disabled it.
+func (s *Server) contentType(r *http.Request) (string, *httpError) {
+	mt, _, err := mime.ParseMediaType(r.Header.Get("Content-Type"))
 	if err != nil || mt != BinaryContentType {
-		return false, nil
+		return "application/json", nil
 	}
 	if s.cfg.DisableBinary {
-		return false, &httpError{http.StatusUnsupportedMediaType,
+		return "", &httpError{http.StatusUnsupportedMediaType,
 			fmt.Errorf("binary ingestion is disabled on this server")}
 	}
-	return true, nil
+	return BinaryContentType, nil
 }
-
-// scratchPool recycles per-item decode state (CSR arenas + fused
-// extraction grids).
-var scratchPool = sync.Pool{New: func() any { return new(misam.WireScratch) }}
 
 // parsePair validates the two operand blobs at the front of body,
 // returning their views and the remaining bytes.
@@ -73,154 +61,38 @@ func parsePair(body []byte) (va, vb misam.WireView, rest []byte, herr *httpError
 	return va, vb, rest, nil
 }
 
-// analyzeOneBinary serves one parsed operand pair. The views alias the
-// request body buffer, which the caller keeps alive until the response
-// is written.
-func (s *Server) analyzeOneBinary(ctx context.Context, va, vb misam.WireView) (analyzeResponse, *httpError) {
-	scratch := scratchPool.Get().(*misam.WireScratch)
-	defer scratchPool.Put(scratch)
-
-	if s.cfg.FastPath && !s.cfg.Placement {
-		// The zero-copy tier: warm hits answer from the wire fingerprint
-		// alone; misses decode into the pooled scratch and extract features
-		// in one fused pass.
-		var rep misam.Report
-		var cmp misam.BaselineComparison
-		err := s.withDevice(ctx, nil, func(dev *misam.Accelerator) error {
-			var err error
-			rep, cmp, err = s.fw.AnalyzeFastWire(ctx, dev, va, vb, scratch)
-			return err
-		})
-		if err != nil {
-			if errors.Is(err, misam.ErrWire) {
-				return analyzeResponse{}, &httpError{http.StatusBadRequest, err}
-			}
-			return analyzeResponse{}, &httpError{statusFor(err), err}
-		}
-		return buildResponse(rep, cmp), nil
+// decodeBinary is the binary half of the decode step. The whole body
+// parses up front, so framing errors and batch limits are rejected
+// before any device work starts; a routable item keeps its contiguous
+// slice of the body, which a peer owner re-parses byte for byte.
+func (s *Server) decodeBinary(body []byte, batch, routable bool) ([]item, *httpError) {
+	if batch && len(body) == 0 {
+		return nil, &httpError{http.StatusBadRequest, fmt.Errorf("batch has no items")}
 	}
-
-	// Remaining pipelines consume a materialized workload. FastPath with
-	// Placement routes through AnalyzeFastOn, whose sampled verify job
-	// retains the workload past the response — those operands must own
-	// their memory. Every other pipeline finishes with the request, so the
-	// scratch-arena (and, where alignment allows, aliasing) decode is safe.
-	var a, b *misam.Matrix
-	if s.cfg.FastPath {
-		a, b = va.DecodeCopy(), vb.DecodeCopy()
-	} else {
-		a, b = scratch.DecodeA(va), scratch.DecodeB(vb)
-	}
-	wl, err := misam.NewWorkload(a, b)
-	if err != nil {
-		return analyzeResponse{}, &httpError{http.StatusBadRequest,
-			fmt.Errorf("%w: dimension mismatch: A is %dx%d, B is %dx%d",
-				misam.ErrWire, a.Rows, a.Cols, b.Rows, b.Cols)}
-	}
-	return s.analyzeWorkload(ctx, wl)
-}
-
-func (s *Server) handleAnalyzeBinary(w http.ResponseWriter, r *http.Request) {
-	body, herr := s.readBody(w, r)
-	if herr != nil {
-		writeErr(w, herr.status, herr.err)
-		return
-	}
-	// Decoded matrices alias the body buffer: keep it out of the pool
-	// until the response is fully written.
-	defer putBody(body)
-
-	va, vb, rest, herr := parsePair(body.Bytes())
-	if herr != nil {
-		writeErr(w, herr.status, herr.err)
-		return
-	}
-	if len(rest) != 0 {
-		writeErr(w, http.StatusBadRequest,
-			fmt.Errorf("%w: %d trailing bytes after two operand blobs", misam.ErrWire, len(rest)))
-		return
-	}
-	ctx, cancel := s.requestContext(r)
-	defer cancel()
-	// Cluster routing happens on the wire fingerprints alone: the owner
-	// lookup decodes nothing, and a forwarded body is proxied byte for
-	// byte — the owner node re-parses the identical blobs.
-	if !s.forwardedIn(r) &&
-		s.maybeForward(ctx, w, "/v1/analyze", BinaryContentType, body.Bytes(), s.fw.WireKey(va, vb)) {
-		return
-	}
-	resp, herr := s.analyzeOneBinary(ctx, va, vb)
-	if herr != nil {
-		writeErr(w, herr.status, herr.err)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-func (s *Server) handleAnalyzeBatchBinary(w http.ResponseWriter, r *http.Request) {
-	body, herr := s.readBody(w, r)
-	if herr != nil {
-		writeErr(w, herr.status, herr.err)
-		return
-	}
-	defer putBody(body)
-
-	// The whole body parses up front: batch semantics (item count limits,
-	// malformed framing) are validated before any device work starts.
-	// raw keeps each item's contiguous slice of the body so a peer-owned
-	// item forwards its original bytes with no re-encode.
-	type pair struct {
-		a, b misam.WireView
-		raw  []byte
-	}
-	var pairs []pair
-	all := body.Bytes()
-	rest := all
-	if len(rest) == 0 {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("batch has no items"))
-		return
-	}
-	for len(rest) > 0 {
-		if len(pairs) == s.cfg.MaxBatchItems {
-			writeErr(w, http.StatusBadRequest,
-				fmt.Errorf("batch exceeds %d items", s.cfg.MaxBatchItems))
-			return
-		}
-		start := len(all) - len(rest)
+	var items []item
+	for rest := body; ; {
 		va, vb, next, herr := parsePair(rest)
 		if herr != nil {
-			herr.err = fmt.Errorf("item %d: %w", len(pairs), herr.err)
-			writeErr(w, herr.status, herr.err)
-			return
+			if batch {
+				herr.err = fmt.Errorf("item %d: %w", len(items), herr.err)
+			}
+			return nil, herr
 		}
-		pairs = append(pairs, pair{va, vb, all[start : len(all)-len(next)]})
+		var raw []byte
+		if routable {
+			raw = rest[:len(rest)-len(next)]
+		}
+		items = append(items, s.newItem(misam.Request{WireA: va, WireB: vb}, raw))
 		rest = next
+		switch {
+		case !batch && len(rest) != 0:
+			return nil, &httpError{http.StatusBadRequest,
+				fmt.Errorf("%w: %d trailing bytes after two operand blobs", misam.ErrWire, len(rest))}
+		case len(rest) == 0:
+			return items, nil
+		case len(items) == s.cfg.MaxBatchItems:
+			return nil, &httpError{http.StatusBadRequest,
+				fmt.Errorf("batch exceeds %d items", s.cfg.MaxBatchItems)}
+		}
 	}
-
-	ctx, cancel := s.requestContext(r)
-	defer cancel()
-	forwarded := s.forwardedIn(r)
-	out := batchResponse{Items: make([]batchItemResponse, len(pairs))}
-	var wg sync.WaitGroup
-	for i := range pairs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if s.cluster != nil && !forwarded {
-				if resp, ok := s.routeItem(ctx, BinaryContentType, pairs[i].raw,
-					s.fw.WireKey(pairs[i].a, pairs[i].b)); ok {
-					out.Items[i] = batchItemResponse{analyzeResponse: resp}
-					return
-				}
-			}
-			resp, herr := s.analyzeOneBinary(ctx, pairs[i].a, pairs[i].b)
-			if herr != nil {
-				out.Items[i] = batchItemResponse{Error: herr.Error()}
-				return
-			}
-			out.Items[i] = batchItemResponse{analyzeResponse: resp}
-		}(i)
-	}
-	wg.Wait()
-	writeJSON(w, http.StatusOK, out)
 }

@@ -234,7 +234,7 @@ func (n *nullResponseWriter) WriteHeader(int)             {}
 // state allocates only what encoding/json itself needs per value, with
 // no per-request buffer or encoder allocations on top.
 func BenchmarkWriteJSONPooled(b *testing.B) {
-	resp := buildResponse(misam.Report{}, misam.BaselineComparison{})
+	resp := buildResponse(misam.Report{}, "")
 	w := &nullResponseWriter{h: make(http.Header)}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -1,9 +1,9 @@
 package server
 
 // Cluster serving. With Config.Cluster populated the server joins a
-// fingerprint-sharded cluster: each analyze request's content key
-// (misam.Framework.AnalysisKey — the exact key the memo cache shards
-// on) is hashed onto a consistent-hash ring, and a request owned by a
+// fingerprint-sharded cluster: each analyze item's content key
+// (misam.Framework.RequestKey — the exact key the memo cache shards
+// on) is hashed onto a consistent-hash ring, and an item owned by a
 // peer is proxied there byte for byte, so every repetition of an
 // operand pair lands on one node's warm cache no matter which member
 // the client hit. Forwarding degrades gracefully: when the owner is
@@ -19,7 +19,6 @@ import (
 	"net/http"
 
 	"misam/internal/cluster"
-	"misam/internal/memo"
 )
 
 // startCluster wires the ring, peer table and replicator during
@@ -69,63 +68,29 @@ func (s *Server) forwardedIn(r *http.Request) bool {
 	return true
 }
 
-// maybeForward routes one analyze request by its content key: when a
-// peer owns the key, the raw body is proxied there and the peer's
-// response written verbatim (returning true). A forward that exhausts
-// its retries falls back to local serving — the caller proceeds as if
-// the node owned the key — with the peer's fallback counter bumped.
-// Requests that arrived pre-forwarded must not reach this (check
-// forwardedIn first).
-func (s *Server) maybeForward(ctx context.Context, w http.ResponseWriter, path, contentType string, body []byte, key memo.Key) bool {
-	if s.cluster == nil {
-		return false
+// route is the routing stage in front of Serve: when a peer owns the
+// item's content key (misam.Framework.RequestKey, memoized on the
+// request, so serving it here later costs no second fingerprint), the
+// item's raw bytes are proxied through the peer's single-analyze
+// endpoint and ok reports the peer's answer. A forward that exhausts its
+// retries, or whose answer accept rejects, counts a fallback and the
+// caller serves the item locally. Items without raw bytes — outside a
+// cluster, or already forwarded once — are never routed.
+func (s *Server) route(ctx context.Context, ctype string, it item, accept func(status int, body []byte) bool) (status int, ct string, body []byte, ok bool) {
+	if it.raw == nil {
+		return 0, "", nil, false
 	}
-	owner, self := s.cluster.Owner(key)
+	owner, self := s.cluster.Owner(s.fw.RequestKey(it.req))
 	if self {
 		s.cluster.NoteServedLocal()
-		return false
+		return 0, "", nil, false
 	}
-	status, ct, respBody, err := s.cluster.Forward(ctx, owner, path, contentType, body)
-	if err != nil {
+	status, ct, body, err := s.cluster.Forward(ctx, owner, "/v1/analyze", ctype, it.raw)
+	if err != nil || !accept(status, body) {
 		s.cluster.NoteFallback(owner)
-		return false
+		return 0, "", nil, false
 	}
-	if ct != "" {
-		w.Header().Set("Content-Type", ct)
-	}
-	w.WriteHeader(status)
-	_, _ = w.Write(respBody)
-	return true
-}
-
-// routeItem routes one batch item by key. When a peer owns it, the
-// item's own bytes (a re-marshalled JSON object, or the item's slice of
-// the original binary body) are forwarded through the single-analyze
-// endpoint and the decoded response returned. Forward failure falls
-// back to local serving, like maybeForward.
-func (s *Server) routeItem(ctx context.Context, contentType string, body []byte, key memo.Key) (analyzeResponse, bool) {
-	if s.cluster == nil {
-		return analyzeResponse{}, false
-	}
-	owner, self := s.cluster.Owner(key)
-	if self {
-		s.cluster.NoteServedLocal()
-		return analyzeResponse{}, false
-	}
-	status, _, respBody, err := s.cluster.Forward(ctx, owner, "/v1/analyze", contentType, body)
-	if err != nil || status != http.StatusOK {
-		// Transport failure or a peer-side error: serve the item locally.
-		// (The operands already resolved here, so a peer 4xx can only be a
-		// transient condition like a timeout — local serving answers it.)
-		s.cluster.NoteFallback(owner)
-		return analyzeResponse{}, false
-	}
-	var resp analyzeResponse
-	if err := json.Unmarshal(respBody, &resp); err != nil {
-		s.cluster.NoteFallback(owner)
-		return analyzeResponse{}, false
-	}
-	return resp, true
+	return status, ct, body, true
 }
 
 // replicationInfo is the replication corner of the /v1/cluster report.

@@ -250,42 +250,66 @@ func TestClusterRoutesRepeatedOperandToOneOwner(t *testing.T) {
 
 // TestClusterBinaryForwardedByteForByte routes a binary body through
 // the non-owner and checks the owner answers it — the proxy hop neither
-// decodes nor re-encodes, so the response is the owner's verbatim.
+// decodes nor re-encodes, so the response is the owner's verbatim. Every
+// answer, forwarded or local, full tier or fast path, names the owner.
 func TestClusterBinaryForwardedByteForByte(t *testing.T) {
-	nodes := startCluster(t, 2, time.Hour, nil)
 	a := misam.RandUniform(3, 120, 90, 0.06)
 	b := misam.RandUniform(4, 90, 70, 0.09)
 	body := misam.AppendMatrixBinary(misam.EncodeMatrixBinary(a), b)
 
-	var owner string
-	for _, n := range nodes {
-		resp, err := http.Post(n.url+"/v1/analyze", BinaryContentType, bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
+	for _, fast := range []bool{false, true} {
+		nodes := startCluster(t, 2, time.Hour, func(_ int, cfg *Config) *misam.Framework {
+			// A near-zero gate answers every request from the fast path; no
+			// background audit adds full-analysis builds.
+			cfg.FastPath, cfg.Confidence, cfg.VerifySample = fast, 1e-9, -1
+			return nil
+		})
+		owner, _ := nodes[0].srv.cluster.Owner(nodes[0].srv.fw.WireKey(parsePairT(t, body)))
+		for _, n := range nodes {
+			resp, err := http.Post(n.url+"/v1/analyze", BinaryContentType, bytes.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var out map[string]any
+			if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("fast=%v: binary analyze via %s: status %d (%v)", fast, n.url, resp.StatusCode, out)
+			}
+			if node, _ := out["node"].(string); node != owner {
+				t.Fatalf("fast=%v: binary request via %s answered with node %q, want owner %s", fast, n.url, node, owner)
+			}
+			if want := map[bool]string{false: misam.PathFull, true: misam.PathFast}[fast]; out["path"] != want {
+				t.Fatalf("fast=%v: path %v, want %s", fast, out["path"], want)
+			}
 		}
-		var out map[string]any
-		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-			t.Fatal(err)
+		var misses, forwards int64
+		for _, n := range nodes {
+			st, _ := n.srv.fw.CacheStats()
+			misses += st.Misses + st.FastMisses
+			for _, m := range n.srv.cluster.Stats().Members {
+				forwards += m.Forwards
+			}
 		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("binary analyze via %s: status %d (%v)", n.url, resp.StatusCode, out)
+		if misses != 1 {
+			t.Errorf("fast=%v: binary pair built %d times cluster-wide, want 1", fast, misses)
 		}
-		node, _ := out["node"].(string)
-		if owner == "" {
-			owner = node
-		} else if node != owner {
-			t.Fatalf("binary request served by %s and %s", owner, node)
+		if forwards != 1 {
+			t.Errorf("fast=%v: %d forwards, want 1 (the non-owner's)", fast, forwards)
 		}
 	}
-	var misses int64
-	for _, n := range nodes {
-		st, _ := n.srv.fw.CacheStats()
-		misses += st.Misses
+}
+
+// parsePairT parses a two-blob binary body into its views.
+func parsePairT(t *testing.T, body []byte) (misam.WireView, misam.WireView) {
+	t.Helper()
+	va, vb, _, herr := parsePair(body)
+	if herr != nil {
+		t.Fatal(herr.err)
 	}
-	if misses != 1 {
-		t.Errorf("binary pair built %d times cluster-wide, want 1", misses)
-	}
+	return va, vb
 }
 
 // TestClusterPeerDeathFallsBackLocally is the failure-path gate: kill

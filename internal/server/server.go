@@ -172,6 +172,9 @@ type Server struct {
 	fw    *misam.Framework
 	fleet *misam.Fleet
 	cfg   Config
+	// placement is every request's placement cost model (nil when
+	// Placement is off: FIFO checkout).
+	placement *misam.PlacementConfig
 	// manager drives the online adaptation loop (nil when Config.Online
 	// is false).
 	manager *online.Manager
@@ -185,7 +188,7 @@ type Server struct {
 	syncCancel context.CancelFunc
 
 	// onAcquire, when set, runs after a request checks its device out and
-	// before analysis starts. Test hook for concurrency assertions.
+	// before the decide stage. Test hook for concurrency assertions.
 	onAcquire func(*misam.Accelerator)
 }
 
@@ -219,6 +222,9 @@ func NewClustered(fw *misam.Framework, cfg Config) (*Server, error) {
 		fw.WithTileCache(cfg.TileCacheBytes)
 	}
 	s := &Server{fw: fw, fleet: fw.NewFleet(cfg.Devices), cfg: cfg}
+	if cfg.Placement {
+		s.placement = &misam.PlacementConfig{QueueWeight: cfg.QueueWeight}
+	}
 	if cfg.Online {
 		fw.WithTraceCapture(cfg.TraceCapacity, cfg.TraceSample)
 		// The drift baseline comes from the in-memory training corpus
@@ -587,34 +593,10 @@ type httpError struct {
 
 func (e *httpError) Error() string { return e.err.Error() }
 
-// withDevice checks a device out for one request and runs fn with it.
-// With placement on, the request's predicted winner is planned before
-// acquisition and the cost model picks the idle device on which serving
-// is cheapest (typically one already holding the winning bitstream);
-// otherwise the fleet hands out devices FIFO exactly as before.
-// Placement never changes what fn computes — only which device runs it.
-func (s *Server) withDevice(ctx context.Context, wl *misam.Workload, fn func(*misam.Accelerator) error) error {
-	run := func(dev *misam.Accelerator) error {
-		if s.onAcquire != nil {
-			s.onAcquire(dev)
-		}
-		return fn(dev)
-	}
-	if !s.cfg.Placement {
-		return s.fleet.Do(ctx, run)
-	}
-	dev, err := s.fw.AcquirePlaced(ctx, s.fleet, wl, misam.PlacementConfig{QueueWeight: s.cfg.QueueWeight})
-	if err != nil {
-		return err
-	}
-	defer s.fleet.Release(dev)
-	return run(dev)
-}
-
-// resolveWorkload materializes one request's operands into a simulation
-// workload — the request's content key (and therefore its cluster
-// owner) is defined by the resolved operand bytes.
-func (s *Server) resolveWorkload(req analyzeRequest) (*misam.Workload, *httpError) {
+// resolveWorkload materializes one JSON item's operands into a
+// simulation workload — the request's content key (and therefore its
+// cluster owner) is defined by the resolved operand bytes.
+func resolveWorkload(req analyzeRequest) (*misam.Workload, *httpError) {
 	a, err := loadOperand(req.AMatrixMarket, req.ASpec, req.Seed, nil)
 	if err != nil {
 		return nil, &httpError{http.StatusBadRequest, fmt.Errorf("matrix A: %w", err)}
@@ -631,93 +613,39 @@ func (s *Server) resolveWorkload(req analyzeRequest) (*misam.Workload, *httpErro
 	return wl, nil
 }
 
-// analyzeOne resolves one request's operands, checks a device out of the
-// fleet, and runs the analyze pipeline. The workload precompute is built
-// once and shared between Analyze and the baseline comparison.
-func (s *Server) analyzeOne(ctx context.Context, req analyzeRequest) (analyzeResponse, *httpError) {
-	wl, herr := s.resolveWorkload(req)
-	if herr != nil {
-		return analyzeResponse{}, herr
-	}
-	return s.analyzeWorkload(ctx, wl)
+// item is one unit of analysis decoded from a request body: the whole
+// body of a single request, or one element of a batch. raw holds the
+// bytes a peer needs to serve it, and is nil when the item must be
+// served here; err is why the item could not be decoded.
+type item struct {
+	req *misam.Request
+	raw []byte
+	err *httpError
 }
 
-// analyzeOneRouted is analyzeOne with cluster routing: an item owned by
-// a peer is re-marshalled alone and proxied through the peer's
-// single-analyze endpoint. forwarded marks requests that already
-// crossed a hop (always served locally).
-func (s *Server) analyzeOneRouted(ctx context.Context, req analyzeRequest, forwarded bool) (analyzeResponse, *httpError) {
-	wl, herr := s.resolveWorkload(req)
-	if herr != nil {
-		return analyzeResponse{}, herr
-	}
-	if s.cluster != nil && !forwarded {
-		item, err := json.Marshal(req)
-		if err == nil {
-			if resp, ok := s.routeItem(ctx, "application/json", item, s.fw.AnalysisKey(wl.A, wl.B)); ok {
-				return resp, nil
-			}
-		}
-	}
-	return s.analyzeWorkload(ctx, wl)
+// newItem wraps decoded operands in a pipeline request on this server's
+// fleet.
+func (s *Server) newItem(req misam.Request, raw []byte) item {
+	req.Fleet, req.Placement, req.OnAcquire = s.fleet, s.placement, s.onAcquire
+	return item{req: &req, raw: raw}
 }
 
-// analyzeWorkload runs a resolved workload through whichever pipeline the
-// configuration selects. Shared by both ingestion formats — everything
-// format-specific happens before this point.
-func (s *Server) analyzeWorkload(ctx context.Context, wl *misam.Workload) (analyzeResponse, *httpError) {
-	var err error
-	var rep misam.Report
-	var cmp misam.BaselineComparison
-	if s.cfg.FastPath {
-		// Two-tier pipeline: the gate decides per request whether the
-		// device transaction is the whole story (fast tier, priced from
-		// the regressors) or a full simulation runs. Baselines come from
-		// the workload precompute either way — no operand re-walk.
-		err = s.withDevice(ctx, wl, func(dev *misam.Accelerator) error {
-			var err error
-			rep, err = s.fw.AnalyzeFastOn(ctx, dev, wl)
-			return err
-		})
-		cmp = misam.CompareBaselinesWorkload(wl)
-	} else if _, cached := s.fw.CacheStats(); cached {
-		// Cached deployment: run (or coalesce onto, or skip via a hit) the
-		// design-independent analysis before touching the fleet, so cache
-		// hits never occupy a device's simulation slot and misses hold
-		// their device only for the microsecond-scale pricing transaction.
-		t0 := time.Now()
-		an, _, aerr := s.fw.AnalysisFor(ctx, wl)
-		if aerr != nil {
-			return analyzeResponse{}, &httpError{statusFor(aerr), aerr}
-		}
-		pre := time.Since(t0).Seconds()
-		err = s.withDevice(ctx, wl, func(dev *misam.Accelerator) error {
-			var err error
-			rep, err = s.fw.AnalyzeWith(ctx, dev, an)
-			return err
-		})
-		rep.PreprocessSeconds = pre
-		rep.TotalSeconds += pre
-		cmp = misam.CompareBaselineStats(an.Baseline)
-	} else {
-		err = s.withDevice(ctx, wl, func(dev *misam.Accelerator) error {
-			var err error
-			rep, err = s.fw.AnalyzeOn(ctx, dev, wl)
-			return err
-		})
-		cmp = misam.CompareBaselinesWorkload(wl)
+// serveItem runs one item through the pipeline on this node.
+func (s *Server) serveItem(ctx context.Context, it item) (analyzeResponse, *httpError) {
+	if it.err != nil {
+		return analyzeResponse{}, it.err
 	}
+	rep, err := s.fw.Serve(ctx, it.req)
 	if err != nil {
 		return analyzeResponse{}, &httpError{statusFor(err), err}
 	}
-	resp := buildResponse(rep, cmp)
-	resp.Node = s.nodeID()
-	return resp, nil
+	return buildResponse(rep, s.nodeID()), nil
 }
 
-// buildResponse renders a report + baseline comparison as the wire
-// response.
-func buildResponse(rep misam.Report, cmp misam.BaselineComparison) analyzeResponse {
+// buildResponse renders a report as the wire response; node is the
+// cluster member that served it ("" outside a cluster).
+func buildResponse(rep misam.Report, node string) analyzeResponse {
+	cmp := rep.Baseline
 	return analyzeResponse{
 		Design:           rep.Design.String(),
 		Device:           rep.Device,
@@ -735,14 +663,18 @@ func buildResponse(rep misam.Report, cmp misam.BaselineComparison) analyzeRespon
 		TrapezoidMs:      cmp.TrapezoidSeconds * 1e3,
 		Path:             rep.Path,
 		Confidence:       rep.Confidence,
+		Node:             node,
 	}
 }
 
-// statusFor maps pipeline errors to HTTP statuses: a server-imposed
-// deadline expiring is a gateway timeout; a cancelled context (client
-// went away) is service-unavailable; anything else is internal.
+// statusFor maps pipeline errors to HTTP statuses: rejected wire operands
+// are a client error; a server-imposed deadline expiring is a gateway
+// timeout; a cancelled context (client went away) is
+// service-unavailable; anything else is internal.
 func statusFor(err error) int {
 	switch {
+	case errors.Is(err, misam.ErrWire):
+		return http.StatusBadRequest
 	case errors.Is(err, context.DeadlineExceeded):
 		return http.StatusGatewayTimeout
 	case errors.Is(err, context.Canceled):
@@ -764,34 +696,34 @@ func (s *Server) requestContext(r *http.Request) (context.Context, context.Cance
 // bodyPool recycles request-body buffers across requests: binary decode
 // aliases the buffer for the request's duration, and the JSON path reads
 // into it before unmarshalling, so neither format pays a per-request
-// body allocation once the pool is warm.
+// body allocation once the pool is warm. MaxBodyBytes bounds what a
+// pooled buffer can hold, and the pool drops its contents at GC.
 var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
-// maxPooledBuf caps the buffers the pools retain; one huge request must
-// not pin its buffer forever.
+// maxPooledBuf caps the response buffers encodePool retains; one huge
+// response must not pin its buffer forever.
 const maxPooledBuf = 1 << 20
 
-func putBody(buf *bytes.Buffer) {
-	if buf.Cap() <= maxPooledBuf {
-		bodyPool.Put(buf)
-	}
-}
-
 // readBody slurps the size-capped request body into a pooled buffer. On
-// success the caller owns the buffer and must putBody it when done with
-// its bytes (for binary requests that is after the response is written —
-// decoded matrices alias the buffer).
+// success the caller owns the buffer and must return it to bodyPool when
+// done with its bytes (for binary requests that is after the response is
+// written — decoded matrices alias the buffer).
 func (s *Server) readBody(w http.ResponseWriter, r *http.Request) (*bytes.Buffer, *httpError) {
 	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	buf := bodyPool.Get().(*bytes.Buffer)
 	buf.Reset()
+	if n := r.ContentLength; n > 0 && n <= s.cfg.MaxBodyBytes {
+		// Room for the whole body plus ReadFrom's final probe for EOF, so
+		// a large body is not regrown by doubling.
+		buf.Grow(int(n) + bytes.MinRead)
+	}
 	if _, err := buf.ReadFrom(r.Body); err != nil {
-		putBody(buf)
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			return nil, &httpError{http.StatusRequestEntityTooLarge,
 				fmt.Errorf("request body exceeds %d bytes", tooBig.Limit)}
 		}
+		bodyPool.Put(buf)
 		return nil, &httpError{http.StatusBadRequest, fmt.Errorf("reading body: %w", err)}
 	}
 	return buf, nil
@@ -805,51 +737,152 @@ func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) *http
 	if herr != nil {
 		return herr
 	}
-	defer putBody(buf)
+	defer bodyPool.Put(buf)
 	if err := json.Unmarshal(buf.Bytes(), v); err != nil {
 		return &httpError{http.StatusBadRequest, fmt.Errorf("bad JSON: %w", err)}
 	}
 	return nil
 }
 
-func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
-	if binary, herr := s.binaryRequest(r); herr != nil {
-		writeErr(w, herr.status, herr.err)
-		return
-	} else if binary {
-		s.handleAnalyzeBinary(w, r)
-		return
-	}
-	// The raw body is read (not streamed into the decoder) because a
-	// cluster deployment may proxy it to the owner node byte for byte.
-	buf, herr := s.readBody(w, r)
+func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) { s.analyze(w, r, false) }
+
+func (s *Server) handleAnalyzeBatch(w http.ResponseWriter, r *http.Request) { s.analyze(w, r, true) }
+
+// analyze is the one analyze path for both endpoints and both formats:
+// the decode step turns the body into items, then each item is routed to
+// its owner or served here.
+func (s *Server) analyze(w http.ResponseWriter, r *http.Request, batch bool) {
+	ctype, herr := s.contentType(r)
 	if herr != nil {
 		writeErr(w, herr.status, herr.err)
 		return
 	}
-	defer putBody(buf)
-	var req analyzeRequest
-	if err := json.Unmarshal(buf.Bytes(), &req); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("bad JSON: %w", err))
+	// The raw body is read (not streamed into a decoder) because a
+	// cluster deployment may proxy it to the owner node byte for byte.
+	body, herr := s.readBody(w, r)
+	if herr != nil {
+		writeErr(w, herr.status, herr.err)
+		return
+	}
+	// Binary operands alias the body buffer: keep it out of the pool
+	// until the response is fully written.
+	defer bodyPool.Put(body)
+	decode := s.decodeJSON
+	if ctype == BinaryContentType {
+		decode = s.decodeBinary
+	}
+	items, herr := decode(body.Bytes(), batch, s.cluster != nil && !s.forwardedIn(r))
+	if herr != nil {
+		writeErr(w, herr.status, herr.err)
 		return
 	}
 	ctx, cancel := s.requestContext(r)
 	defer cancel()
-	wl, herr := s.resolveWorkload(req)
+
+	if !batch {
+		// A peer's answer to a forwarded single request is written
+		// verbatim, whatever its status.
+		if status, ct, resp, ok := s.route(ctx, ctype, items[0], func(int, []byte) bool { return true }); ok {
+			if ct != "" {
+				w.Header().Set("Content-Type", ct)
+			}
+			w.WriteHeader(status)
+			_, _ = w.Write(resp)
+			return
+		}
+		resp, herr := s.serveItem(ctx, items[0])
+		if herr != nil {
+			writeErr(w, herr.status, herr.err)
+			return
+		}
+		writeJSON(w, http.StatusOK, resp)
+		return
+	}
+
+	// Fan the items out; fleet admission provides the per-device
+	// serialization, so concurrency here is bounded by the device count.
+	// In a cluster each item routes independently to its owner node.
+	out := batchResponse{Items: make([]batchItemResponse, len(items))}
+	var wg sync.WaitGroup
+	for i := range items {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			out.Items[i] = s.batchItem(ctx, ctype, items[i])
+		}(i)
+	}
+	wg.Wait()
+	writeJSON(w, http.StatusOK, out)
+}
+
+// batchItem answers one batch element. A peer-owned item goes through
+// the peer's single-analyze endpoint; a transport failure, a peer-side
+// error or an undecodable answer falls back to local serving (the
+// operands already decoded here, so a peer 4xx can only be transient).
+func (s *Server) batchItem(ctx context.Context, ctype string, it item) batchItemResponse {
+	var resp analyzeResponse
+	decoded := func(status int, body []byte) bool {
+		return status == http.StatusOK && json.Unmarshal(body, &resp) == nil
+	}
+	if _, _, _, ok := s.route(ctx, ctype, it, decoded); ok {
+		return batchItemResponse{analyzeResponse: resp}
+	}
+	resp, herr := s.serveItem(ctx, it)
 	if herr != nil {
-		writeErr(w, herr.status, herr.err)
-		return
+		return batchItemResponse{Error: herr.Error()}
 	}
-	if !s.forwardedIn(r) &&
-		s.maybeForward(ctx, w, "/v1/analyze", "application/json", buf.Bytes(), s.fw.AnalysisKey(wl.A, wl.B)) {
-		return
+	return batchItemResponse{analyzeResponse: resp}
+}
+
+// decodeJSON is the JSON half of the decode step: one analyzeRequest,
+// or a batch of them, resolved into pipeline requests. A routable single
+// request forwards its body verbatim; a routable batch item forwards
+// itself re-marshalled alone.
+func (s *Server) decodeJSON(body []byte, batch, routable bool) ([]item, *httpError) {
+	reqs := make([]analyzeRequest, 1)
+	var err error
+	if batch {
+		var b batchRequest
+		err = json.Unmarshal(body, &b)
+		reqs = b.Items
+	} else {
+		err = json.Unmarshal(body, &reqs[0])
 	}
-	resp, herr := s.analyzeWorkload(ctx, wl)
-	if herr != nil {
-		writeErr(w, herr.status, herr.err)
-		return
+	switch {
+	case err != nil:
+		return nil, &httpError{http.StatusBadRequest, fmt.Errorf("bad JSON: %w", err)}
+	case len(reqs) == 0:
+		return nil, &httpError{http.StatusBadRequest, fmt.Errorf("batch has no items")}
+	case len(reqs) > s.cfg.MaxBatchItems:
+		return nil, &httpError{http.StatusBadRequest,
+			fmt.Errorf("batch has %d items, limit is %d", len(reqs), s.cfg.MaxBatchItems)}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	// Items resolve concurrently: generating or parsing operands is most
+	// of a JSON item's cost.
+	items := make([]item, len(reqs))
+	var wg sync.WaitGroup
+	for i := range reqs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			wl, herr := resolveWorkload(reqs[i])
+			if herr != nil {
+				items[i].err = herr
+				return
+			}
+			var raw []byte
+			switch {
+			case routable && batch:
+				// A marshal failure leaves raw nil: the item is served here.
+				raw, _ = json.Marshal(reqs[i])
+			case routable:
+				raw = body
+			}
+			items[i] = s.newItem(misam.Request{Workload: wl}, raw)
+		}(i)
+	}
+	wg.Wait()
+	return items, nil
 }
 
 // batchRequest fans N analyze items across the fleet.
@@ -866,53 +899,6 @@ type batchItemResponse struct {
 
 type batchResponse struct {
 	Items []batchItemResponse `json:"items"`
-}
-
-func (s *Server) handleAnalyzeBatch(w http.ResponseWriter, r *http.Request) {
-	if binary, herr := s.binaryRequest(r); herr != nil {
-		writeErr(w, herr.status, herr.err)
-		return
-	} else if binary {
-		s.handleAnalyzeBatchBinary(w, r)
-		return
-	}
-	var req batchRequest
-	if herr := s.decodeBody(w, r, &req); herr != nil {
-		writeErr(w, herr.status, herr.err)
-		return
-	}
-	if len(req.Items) == 0 {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("batch has no items"))
-		return
-	}
-	if len(req.Items) > s.cfg.MaxBatchItems {
-		writeErr(w, http.StatusBadRequest,
-			fmt.Errorf("batch has %d items, limit is %d", len(req.Items), s.cfg.MaxBatchItems))
-		return
-	}
-	ctx, cancel := s.requestContext(r)
-	defer cancel()
-	forwarded := s.forwardedIn(r)
-
-	// Fan the items out; fleet admission provides the per-device
-	// serialization, so concurrency here is bounded by the device count.
-	// In a cluster each item routes independently to its owner node.
-	out := batchResponse{Items: make([]batchItemResponse, len(req.Items))}
-	var wg sync.WaitGroup
-	for i := range req.Items {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			resp, herr := s.analyzeOneRouted(ctx, req.Items[i], forwarded)
-			if herr != nil {
-				out.Items[i] = batchItemResponse{Error: herr.Error()}
-				return
-			}
-			out.Items[i] = batchItemResponse{analyzeResponse: resp}
-		}(i)
-	}
-	wg.Wait()
-	writeJSON(w, http.StatusOK, out)
 }
 
 // ErrInvalidMatrix marks an ingested matrix that failed CSR invariant

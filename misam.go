@@ -36,7 +36,6 @@ import (
 	"math/rand"
 	"strconv"
 	"strings"
-	"time"
 
 	"misam/internal/baseline"
 	"misam/internal/dataset"
@@ -49,7 +48,6 @@ import (
 	"misam/internal/reconfig"
 	"misam/internal/registry"
 	"misam/internal/sim"
-	"misam/internal/sparse"
 	"misam/internal/spgemm"
 )
 
@@ -167,8 +165,8 @@ var _ reconfig.Selector = (*Selector)(nil)
 // Framework bundles the trained selector, the reconfiguration pricing
 // engine and the training corpus (kept for evaluation drivers). Model
 // access is registry-backed: Train/Load publish the trained pair as
-// version 1 of a versioned registry, and every Analyze/AnalyzeWith/Stream
-// call reads the registry's current snapshot exactly once, so a request
+// version 1 of a versioned registry, and every Serve/Stream call reads
+// the registry's current snapshot exactly once, so a request
 // always sees one complete {selector, latency predictor} pair even while
 // the online retrainer hot-swaps a promotion in. The Selector and Engine
 // fields remain the *initial* (version 1) models for evaluation drivers
@@ -219,9 +217,9 @@ func (f *Framework) Registry() *registry.Registry { return f.registry }
 // model generations inside one request.
 func (f *Framework) snapshot() *registry.Snapshot { return f.registry.Current() }
 
-// WithTraceCapture enables the online trace collector: every analysis
-// that computes all four design simulations (the cached path, and the
-// uncached path once capture is on) records a training-ready trace —
+// WithTraceCapture enables the online trace collector: every full-tier
+// request then computes all four design simulations (the argmin label)
+// and records a training-ready trace —
 // feature vector, live proposal, argmin design, per-design outcomes.
 // capacity bounds the buffer; sampleEvery admits one in N observations
 // (<=1 admits all). Returns f for chaining; enable once at setup.
@@ -282,9 +280,9 @@ type CacheStats = memo.Stats
 
 // WithCache enables the content-addressed analysis cache with roughly
 // budgetBytes of resident entries, returning f for chaining. Enable it
-// once at setup, before serving traffic. With the cache on, Analyze and
+// once at setup, before serving traffic. With the cache on, Serve and
 // Stream share artifacts across requests whose operands are
-// byte-identical (keyed by sparse.CSR.Fingerprint), and concurrent
+// byte-identical (keyed by RequestKey), and concurrent
 // requests for the same pair coalesce onto one simulation. Per-request
 // reconfiguration decisions are never cached.
 func (f *Framework) WithCache(budgetBytes int64) *Framework {
@@ -333,105 +331,6 @@ func (f *Framework) attachTileCache(w *Workload) {
 	if f.tileCache != nil {
 		w.AttachTileCache(f.tileCache)
 	}
-}
-
-// prunedKeySalt separates the pruned-deployment feature flavour in the
-// cache keyspace: a TopFeaturesOnly framework stores ExtractPruned
-// vectors, which must never be confused with the full vectors the
-// streaming path (and full-featured frameworks) cache for the same
-// operand bytes.
-const prunedKeySalt = 0x709c5d3a41fe9b27
-
-// analysisKey is the content address of the (A, B) analysis under the
-// framework's extraction flavour.
-func (f *Framework) analysisKey(a, b *Matrix) memo.Key {
-	k := memo.PairKey(a.Fingerprint(), b.Fingerprint())
-	if f.Options.TopFeaturesOnly {
-		k.Hi ^= prunedKeySalt
-	}
-	return k
-}
-
-// AnalysisKey exposes the content address of the (A, B) analysis —
-// the key the cache shards on, and the key cluster routing hashes to
-// pick the owner node, so routing and caching agree by construction.
-func (f *Framework) AnalysisKey(a, b *Matrix) memo.Key { return f.analysisKey(a, b) }
-
-// buildAnalysis derives every design-independent artifact from the
-// workload: the feature vector in the framework's flavour, all four
-// design simulations (shared precompute, parallel fan-out), and the
-// baseline statistics.
-func (f *Framework) buildAnalysis(ctx context.Context, w *Workload) (*Analysis, error) {
-	f.attachTileCache(w)
-	an := &Analysis{}
-	if f.Options.TopFeaturesOnly {
-		an.Features = features.ExtractPruned(w.A, w.B)
-	} else {
-		an.Features = features.Extract(w.A, w.B)
-	}
-	var err error
-	an.Results, err = w.SimulateAllCtx(ctx)
-	if err != nil {
-		return nil, err
-	}
-	an.Baseline = w.BaselineStats()
-	return an, nil
-}
-
-// AnalysisFor returns the design-independent analysis for w's operand
-// pair. With a cache enabled the result is content-addressed: equal
-// operand bytes hit regardless of which request built the entry, and
-// concurrent misses for the same pair run one simulation. hit reports
-// whether this call avoided building (resident entry or coalesced
-// share); without a cache it is always false.
-func (f *Framework) AnalysisFor(ctx context.Context, w *Workload) (*Analysis, bool, error) {
-	if f.cache == nil {
-		an, err := f.buildAnalysis(ctx, w)
-		return an, false, err
-	}
-	return f.cache.Do(ctx, f.analysisKey(w.A, w.B), func(ctx context.Context) (*Analysis, error) {
-		return f.buildAnalysis(ctx, w)
-	})
-}
-
-// AnalyzeWith prices one request against dev from a prebuilt Analysis:
-// selector inference, the decide/apply transaction, and report assembly
-// from the cached simulation of the chosen design. PreprocessSeconds is
-// zero — the caller owns the analysis cost (cache hit or build) and may
-// fold it in.
-func (f *Framework) AnalyzeWith(ctx context.Context, dev *Accelerator, an *Analysis) (Report, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	var rep Report
-	rep.Device = dev.Name()
-	rep.Path = PathFull
-	if err := ctx.Err(); err != nil {
-		return rep, err
-	}
-	// One snapshot per request: proposal, pricing and prediction all come
-	// from the same model generation even mid-promotion.
-	snap := f.snapshot()
-	rep.ModelVersion = snap.Version()
-	t1 := time.Now()
-	proposed := snap.Select(an.Features)
-	dec := dev.DecideApplyWith(snap.Engine(), an.Features, proposed, 1)
-	rep.InferenceSeconds = time.Since(t1).Seconds()
-
-	rep.Design = dec.Target
-	rep.Reconfigured = dec.Reconfigure
-	rep.ReconfigSec = dec.ReconfigSeconds
-	rep.PredictedSeconds = snap.Engine().Predictor.Predict(an.Features, dec.Target)
-
-	f.observeTrace(an, proposed, snap.Version())
-
-	res := an.Results[dec.Target]
-	rep.SimulatedSeconds = res.Seconds
-	rep.PEUtilization = res.PEUtilization
-	rep.Cycles = res.Cycles
-	rep.EnergyJoules = energy.FPGAEnergy(res)
-	rep.TotalSeconds = rep.InferenceSeconds + rep.ReconfigSec + rep.SimulatedSeconds
-	return rep, nil
 }
 
 // Accelerator is one (simulated) reconfigurable accelerator: it owns the
@@ -542,13 +441,12 @@ type Report struct {
 	// Device names the accelerator that served the request.
 	Device string
 	// Path records which serving tier produced the report: PathFull for
-	// the simulate-everything pipeline, PathFast for the confidence-gated
-	// tier that prices from the latency regressors alone (see
-	// AnalyzeFast).
+	// the simulating tier, PathFast for the confidence-gated tier that
+	// prices from the latency regressors alone (see WithFastPath).
 	Path string
 	// Confidence is the selector leaf's probability mass for the proposed
-	// design, populated whenever the fast-path gate evaluated it (zero on
-	// the plain Analyze pipeline, which never looks at it).
+	// design, populated whenever the fast-path gate evaluated it (zero
+	// without a fast path, which never looks at it).
 	Confidence float64
 	// ModelVersion is the registry version of the model snapshot that
 	// served the request (1 for a freshly trained/loaded framework).
@@ -569,103 +467,16 @@ type Report struct {
 	// PEUtilization and Cycles expose the simulator detail.
 	PEUtilization float64
 	Cycles        int64
+	// Baseline prices the same workload on the CPU, GPU and Trapezoid
+	// models.
+	Baseline BaselineComparison
 }
 
-// Analyze selects a design for A×B and simulates it without computing the
-// numeric product — the path a host would take before offloading. State
-// transitions happen on the framework's default device; use AnalyzeOn to
-// target a specific accelerator. ctx cancellation aborts the simulation
-// mid-tile-pool and returns ctx.Err().
+// Analyze selects a design for A×B on the framework's default device and
+// simulates it without computing the numeric product — the path a host
+// would take before offloading. It is Serve over the decoded pair.
 func (f *Framework) Analyze(ctx context.Context, a, b *Matrix) (Report, error) {
-	w, err := sim.NewWorkload(a, b)
-	if err != nil {
-		return Report{}, fmt.Errorf("misam: analyze: %w", err)
-	}
-	return f.AnalyzeOn(ctx, f.device, w)
-}
-
-// AnalyzeWorkload is Analyze over a prebuilt simulation workload, letting
-// callers that evaluate one pair repeatedly (serving stacks, experiment
-// drivers) reuse the design-independent precompute across calls.
-func (f *Framework) AnalyzeWorkload(ctx context.Context, w *sim.Workload) (Report, error) {
-	return f.AnalyzeOn(ctx, f.device, w)
-}
-
-// AnalyzeOn runs the analyze pipeline against one accelerator: feature
-// extraction, design selection, the decide/apply transaction on dev's
-// bitstream state, and cycle simulation of the chosen design. The
-// framework itself stays immutable — all state transitions land on dev.
-// AnalyzeOn does not serialize dev across concurrent calls; check
-// devices out of a Fleet when requests must own an accelerator
-// exclusively.
-func (f *Framework) AnalyzeOn(ctx context.Context, dev *Accelerator, w *sim.Workload) (Report, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if f.cache != nil || f.traces != nil {
-		// Cached path: the design-independent analysis (features, all four
-		// simulations, baselines) comes from the content-addressed cache;
-		// only the per-device decide/apply transaction runs per request.
-		// The simulator is deterministic and SimulateAll matches the
-		// single-design path bit for bit, so the report's deterministic
-		// fields are identical to the uncached pipeline's.
-		//
-		// Trace capture also routes here: a training-ready trace needs all
-		// four simulations (the ground-truth argmin label), and
-		// SimulateAll runs the designs concurrently over one shared
-		// precompute, so the capture cost is far below 4× the single-
-		// design path.
-		t0 := time.Now()
-		an, _, err := f.AnalysisFor(ctx, w)
-		if err != nil {
-			return Report{Device: dev.Name()}, fmt.Errorf("misam: analyze: %w", err)
-		}
-		pre := time.Since(t0).Seconds()
-		rep, err := f.AnalyzeWith(ctx, dev, an)
-		rep.PreprocessSeconds = pre
-		rep.TotalSeconds += pre
-		return rep, err
-	}
-	a, b := w.A, w.B
-	var rep Report
-	rep.Device = dev.Name()
-	rep.Path = PathFull
-	t0 := time.Now()
-	var v features.Vector
-	if f.Options.TopFeaturesOnly {
-		// Pruned deployment: pointer-offset features only (§5.5).
-		v = features.ExtractPruned(a, b)
-	} else {
-		v = features.Extract(a, b)
-	}
-	rep.PreprocessSeconds = time.Since(t0).Seconds()
-
-	if err := ctx.Err(); err != nil {
-		return rep, err
-	}
-	snap := f.snapshot()
-	rep.ModelVersion = snap.Version()
-	t1 := time.Now()
-	proposed := snap.Select(v)
-	dec := dev.DecideApplyWith(snap.Engine(), v, proposed, 1)
-	rep.InferenceSeconds = time.Since(t1).Seconds()
-
-	rep.Design = dec.Target
-	rep.Reconfigured = dec.Reconfigure
-	rep.ReconfigSec = dec.ReconfigSeconds
-	rep.PredictedSeconds = snap.Engine().Predictor.Predict(v, dec.Target)
-
-	f.attachTileCache(w)
-	res, err := w.SimulateDesignCtx(ctx, dec.Target)
-	if err != nil {
-		return rep, fmt.Errorf("misam: simulate: %w", err)
-	}
-	rep.SimulatedSeconds = res.Seconds
-	rep.PEUtilization = res.PEUtilization
-	rep.Cycles = res.Cycles
-	rep.EnergyJoules = energy.FPGAEnergy(res)
-	rep.TotalSeconds = rep.PreprocessSeconds + rep.InferenceSeconds + rep.ReconfigSec + rep.SimulatedSeconds
-	return rep, nil
+	return f.Serve(ctx, &Request{A: a, B: b})
 }
 
 // Multiply runs the full pipeline: design selection, reconfiguration
@@ -715,25 +526,13 @@ func CompareBaselines(a, b *Matrix) BaselineComparison {
 	return compareStats(baseline.Collect(a, b))
 }
 
-// CompareBaselinesWorkload evaluates the baseline cost models using a
-// prebuilt workload's cached precompute (flop count, output estimate, B
-// row counts) instead of re-walking the matrices, so serving stacks that
-// already built a Workload for Analyze pay only an O(rows) pass here.
-func CompareBaselinesWorkload(w *Workload) BaselineComparison {
-	return compareStats(w.BaselineStats())
-}
-
 // BaselineStats are the collected workload statistics the baseline cost
 // models consume; cached Analyses carry them.
 type BaselineStats = baseline.Stats
 
-// CompareBaselineStats evaluates the baseline cost models on
-// already-collected statistics (e.g. a cached Analysis.Baseline), paying
-// no matrix walk at all.
-func CompareBaselineStats(s BaselineStats) BaselineComparison {
-	return compareStats(s)
-}
-
+// compareStats prices collected statistics on every baseline model; the
+// pipeline's report stage feeds it the stats a cache entry or workload
+// precompute already holds, so no request re-walks its operands.
 func compareStats(s baseline.Stats) BaselineComparison {
 	cpu := baseline.DefaultCPU().Estimate(s)
 	gpu := baseline.DefaultGPU().Estimate(s)
@@ -888,7 +687,8 @@ func (f *Framework) PublishSyncedModels(data []byte, note string) (uint64, error
 	return f.registry.Publish(snap), nil
 }
 
-// ExtractFeatures exposes the §3.1 feature extraction.
+// ExtractFeatures exposes the multi-pass §3.1 feature extraction — the
+// reference the pipeline's one-pass fused extractor is bit-identical to.
 func ExtractFeatures(a, b *Matrix) FeatureVector { return features.Extract(a, b) }
 
 // FeatureNames returns the Figure 4 feature names, indexed like
@@ -927,5 +727,3 @@ type Workload = sim.Workload
 func NewWorkload(a, b *Matrix) (*Workload, error) {
 	return sim.NewWorkload(a, b)
 }
-
-var _ = sparse.Entry{} // keep the alias target imported

@@ -177,7 +177,7 @@ func TestAnalyzeOnSeparateDevices(t *testing.T) {
 		go func(dev *Accelerator) {
 			defer wg.Done()
 			for i := 0; i < 4; i++ {
-				rep, err := fw.AnalyzeOn(context.Background(), dev, w)
+				rep, err := fw.Serve(context.Background(), &Request{Workload: w, Device: dev})
 				if err != nil {
 					t.Error(err)
 					return
@@ -200,7 +200,7 @@ func TestAnalyzeOnSeparateDevices(t *testing.T) {
 		t.Errorf("per-device request counts wrong: %+v %+v", d1.Stats(), d2.Stats())
 	}
 	if got := fw.DefaultDevice().Stats().Requests; got != defaultBefore {
-		t.Errorf("AnalyzeOn leaked %d transactions onto the default device", got-defaultBefore)
+		t.Errorf("Serve on a named device leaked %d transactions onto the default device", got-defaultBefore)
 	}
 }
 

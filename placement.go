@@ -3,65 +3,20 @@ package misam
 // Bitstream-aware fleet placement: the framework-side wiring of
 // internal/placement. A request's predicted winner is known *before* a
 // device is acquired — features are cheap (and cached), the compiled
-// selector is microseconds — so the serving layer can hand the request
-// an idle device that already holds the winning bitstream instead of
-// whichever device happens to be longest idle. Placement is strictly
-// advisory: the acquired device still runs the same decide/apply
+// selector is microseconds — so Serve's acquire stage can hand the
+// request an idle device that already holds the winning bitstream
+// instead of whichever device happens to be longest idle. Placement is
+// strictly advisory: the acquired device still runs the same decide/apply
 // transaction against the same snapshot-consistent engine, so every
 // analysis-derived report field is bit-identical to the FIFO pool's —
 // placement changes which device pays, never the analysis result.
 
-import (
-	"context"
-	"fmt"
-
-	"misam/internal/placement"
-)
-
 // PlacementConfig tunes the placement cost model (see
-// internal/placement.Request).
+// internal/placement.Request). Setting Request.Placement on a request
+// with a Fleet enables placement for it.
 type PlacementConfig struct {
 	// QueueWeight scales the queue-pressure term: each request queued
 	// fleet-wide inflates a candidate's reconfiguration charge by this
 	// fraction (<= 0 uses placement.DefaultQueueWeight).
 	QueueWeight float64
-}
-
-// PlacementRequest is the per-request placement cost model; it
-// satisfies the fleet's Scorer and carries the selector's proposal.
-type PlacementRequest = placement.Request
-
-// PlanPlacement builds the placement cost model for workload w: the
-// feature vector (through the cache's features-only fast entries when a
-// cache is enabled), the current snapshot's design proposal, and the
-// per-design latency predictions — everything AcquirePlaced needs to
-// score (device, design) candidates. One registry snapshot backs the
-// whole plan, so scoring stays consistent while a promotion hot-swaps
-// the registry; the proposal is advisory and the acquired device
-// re-prices it in its own decide/apply transaction.
-func (f *Framework) PlanPlacement(ctx context.Context, w *Workload, cfg PlacementConfig) (*PlacementRequest, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	ent, _, err := f.fastEntry(ctx, w)
-	if err != nil {
-		return nil, fmt.Errorf("misam: placement plan: %w", err)
-	}
-	v := ent.Features
-	snap := f.snapshot()
-	return placement.NewRequest(snap.Engine(), v, snap.Select(v), cfg.QueueWeight), nil
-}
-
-// AcquirePlaced checks the predicted-cheapest device out of fl for
-// workload w: the selector's proposed design is passed into
-// acquisition, and among the idle devices the placement cost model's
-// argmin wins — typically one already holding the winning bitstream.
-// When every device is busy, admission falls back to the fleet's FIFO
-// queue unchanged. The caller owns the device until fl.Release.
-func (f *Framework) AcquirePlaced(ctx context.Context, fl *Fleet, w *Workload, cfg PlacementConfig) (*Accelerator, error) {
-	req, err := f.PlanPlacement(ctx, w, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return fl.AcquireScored(ctx, req.Proposed(), req)
 }

@@ -2,34 +2,27 @@ package misam
 
 // Zero-copy binary ingestion. A binary request body is two concatenated
 // sparse.EncodeBinary blobs (A then B); the server parses them into
-// WireViews, and AnalyzeFastWire serves the pair with the minimum
-// materialization the request actually needs:
+// WireViews and serves them as a Request, which materializes the pair
+// only as far as its stages need:
 //
 //   - Warm fast hit: the memo key comes straight from the wire
 //     fingerprints (bit-identical to the decoded-struct fingerprints), so
 //     the cached features and baseline stats answer the request without
 //     decoding a single operand word.
-//   - Cold fast hit: the operands are decoded into the caller's pooled
-//     WireScratch — slice headers aliasing the request buffer on aligned
-//     little-endian hosts, one copy into the scratch arenas otherwise —
-//     and the one-pass fused extractor builds the entry.
-//   - Slow tier: same decode, then the full pipeline (AnalyzeOn).
+//   - Anything else: the operands are decoded into a pooled WireScratch —
+//     slice headers aliasing the request buffer on aligned little-endian
+//     hosts, one copy into the scratch arenas otherwise — and the one-pass
+//     fused extractor builds the entry.
 //
 // Lifetime rule: everything decoded through a WireScratch aliases memory
 // that dies with the request (the wire buffer or the pooled arenas), so
-// nothing alias-backed may outlive the call. The one consumer that does
+// nothing alias-backed may outlive Serve. The one consumer that does
 // outlive it — the background verify job — gets an independent
-// DecodeCopy taken at offer time. Cache entries (FastEntry, Analysis)
-// and traces are slice-free value types and safe to share.
+// DecodeCopy taken at offer time. Cache entries (FastEntry, Analysis),
+// reports and traces are slice-free value types and safe to share.
 
 import (
-	"context"
-	"fmt"
-	"time"
-
 	"misam/internal/features"
-	"misam/internal/memo"
-	"misam/internal/sim"
 	"misam/internal/sparse"
 )
 
@@ -38,8 +31,9 @@ import (
 type WireView = sparse.WireView
 
 // ErrWire marks rejected binary matrix bytes (sparse.ErrWire): bad
-// framing, truncation, or CSR invariant violations. Ingest boundaries
-// map the whole family to a client error.
+// framing, truncation, CSR invariant violations, or an operand pair
+// whose dimensions do not multiply. Ingest boundaries map the whole
+// family to a client error.
 var ErrWire = sparse.ErrWire
 
 // EncodeMatrixBinary renders m in the binary wire format.
@@ -57,14 +51,11 @@ func DecodeMatrixBinary(buf []byte) (*Matrix, error) { return sparse.DecodeBinar
 // its view and the remaining bytes.
 func ParseWireMatrix(buf []byte) (WireView, []byte, error) { return sparse.ParseWire(buf) }
 
-// WireScratch is one request's reusable decode state: CSR arenas for
-// both operands plus the fused extractor's count grids. The server keeps
-// these in a sync.Pool and threads one through every item of a batch;
-// after the first few requests at a given scale, binary decode and
-// feature extraction allocate nothing.
+// WireScratch is reusable decode state: CSR arenas for both operands.
+// Serve keeps these in a sync.Pool, so after the first few requests at a
+// given scale binary decode allocates nothing.
 type WireScratch struct {
-	a, b  Matrix
-	fused FusedScratch
+	a, b Matrix
 }
 
 // FusedScratch re-exports the one-pass extractor's scratch type.
@@ -77,154 +68,3 @@ func (s *WireScratch) DecodeA(v WireView) *Matrix { return v.DecodeInto(&s.a) }
 
 // DecodeB is DecodeA for the B-operand arena.
 func (s *WireScratch) DecodeB(v WireView) *Matrix { return v.DecodeInto(&s.b) }
-
-// wireKey is analysisKey computed from wire fingerprints — identical to
-// the key the decoded pair would produce, including the pruned-flavour
-// salt, so binary and JSON ingestion of the same operands share cache
-// entries.
-func (f *Framework) wireKey(va, vb WireView) memo.Key {
-	k := memo.PairKey(va.Fingerprint(), vb.Fingerprint())
-	if f.Options.TopFeaturesOnly {
-		k.Hi ^= prunedKeySalt
-	}
-	return k
-}
-
-// WireKey exposes the content address of a binary-ingested pair — equal
-// to AnalysisKey of the decoded operands, so cluster routing can pick
-// the owner node from the wire views without materializing a matrix.
-func (f *Framework) WireKey(va, vb WireView) memo.Key { return f.wireKey(va, vb) }
-
-// decodeWire materializes both operands into the scratch arenas and
-// builds the simulation workload.
-func decodeWire(va, vb WireView, scratch *WireScratch) (*Workload, error) {
-	a := va.DecodeInto(&scratch.a)
-	b := vb.DecodeInto(&scratch.b)
-	return sim.NewWorkload(a, b)
-}
-
-// AnalyzeFastWire serves one binary-ingested request against dev through
-// the two-tier pipeline, returning the report and the baseline
-// comparison (which the wire path derives from the fast entry's cached
-// stats, so a warm hit never walks the operands). scratch may be nil;
-// passing a pooled scratch makes the steady-state decode allocation-free.
-//
-// Semantics match AnalyzeFastOn on the same operands: identical gate,
-// identical counters, identical reports — the wire path only changes how
-// (and whether) the matrices are materialized.
-func (f *Framework) AnalyzeFastWire(ctx context.Context, dev *Accelerator, va, vb WireView, scratch *WireScratch) (Report, BaselineComparison, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if scratch == nil {
-		scratch = &WireScratch{}
-	}
-	if va.Cols() != vb.Rows() {
-		return Report{}, BaselineComparison{}, fmt.Errorf("%w: dimension mismatch: A is %dx%d, B is %dx%d",
-			ErrWire, va.Rows(), va.Cols(), vb.Rows(), vb.Cols())
-	}
-
-	slow := func() (Report, BaselineComparison, error) {
-		w, err := decodeWire(va, vb, scratch)
-		if err != nil {
-			return Report{Device: dev.Name(), Path: PathFull}, BaselineComparison{}, fmt.Errorf("misam: analyze: %w", err)
-		}
-		rep, err := f.AnalyzeOn(ctx, dev, w)
-		if err != nil {
-			return rep, BaselineComparison{}, err
-		}
-		return rep, CompareBaselinesWorkload(w), nil
-	}
-
-	fp := f.fastpath
-	if fp == nil {
-		return slow()
-	}
-	fp.served.Add(1)
-	if fp.cfg.Confidence >= 1 {
-		// Gate can never pass — the bit-identical-at-threshold-1.0
-		// contract, same as AnalyzeFastOn.
-		fp.slow.Add(1)
-		return slow()
-	}
-
-	// Resolve the fast entry: wire-fingerprint probe first (a warm hit
-	// decodes nothing), then decode + build on a miss.
-	t0 := time.Now()
-	key := f.wireKey(va, vb)
-	var ent memo.FastEntry
-	var w *Workload // non-nil once the operands are materialized
-	var err error
-	if f.cache != nil {
-		var warm bool
-		if ent, warm = f.cache.GetFast(key); !warm {
-			w, err = decodeWire(va, vb, scratch)
-			if err == nil {
-				ent, _, err = f.cache.DoFast(ctx, key, func(ctx context.Context) (memo.FastEntry, error) {
-					return f.buildFastEntry(ctx, w, &scratch.fused)
-				})
-			}
-		}
-	} else {
-		w, err = decodeWire(va, vb, scratch)
-		if err == nil {
-			ent, err = f.buildFastEntry(ctx, w, &scratch.fused)
-		}
-	}
-	if err != nil {
-		fp.slow.Add(1)
-		return Report{Device: dev.Name(), Path: PathFull}, BaselineComparison{}, fmt.Errorf("misam: analyze: %w", err)
-	}
-	pre := time.Since(t0).Seconds()
-
-	snap := f.snapshot()
-	t1 := time.Now()
-	proposed, conf, margin := snap.SelectConfident(ent.Features)
-	pass := conf >= fp.cfg.Confidence && margin >= fp.cfg.MinMargin
-	if pass && fp.cfg.SlowEvery > 0 && fp.gateSeq.Add(1)%int64(fp.cfg.SlowEvery) == 0 {
-		pass = false
-	}
-	if !pass {
-		fp.slow.Add(1)
-		if w == nil {
-			// Warm probe answered the gate but the request still needs the
-			// full pipeline: decode now.
-			w, err = decodeWire(va, vb, scratch)
-			if err != nil {
-				return Report{Device: dev.Name(), Path: PathFull}, BaselineComparison{}, fmt.Errorf("misam: analyze: %w", err)
-			}
-		}
-		rep, err := f.AnalyzeOn(ctx, dev, w)
-		rep.Confidence = conf
-		if err != nil {
-			return rep, BaselineComparison{}, err
-		}
-		return rep, CompareBaselineStats(ent.Baseline), nil
-	}
-	fp.fast.Add(1)
-	if f.traces != nil {
-		f.traces.ObserveProposal(proposed)
-	}
-
-	dec := dev.DecideApplyWith(snap.Engine(), ent.Features, proposed, 1)
-	var rep Report
-	rep.Device = dev.Name()
-	rep.Path = PathFast
-	rep.Confidence = conf
-	rep.ModelVersion = snap.Version()
-	rep.PreprocessSeconds = pre
-	rep.InferenceSeconds = time.Since(t1).Seconds()
-	rep.Design = dec.Target
-	rep.Reconfigured = dec.Reconfigure
-	rep.ReconfigSec = dec.ReconfigSeconds
-	rep.PredictedSeconds = snap.Engine().Predictor.Predict(ent.Features, dec.Target)
-	rep.TotalSeconds = rep.PreprocessSeconds + rep.InferenceSeconds + rep.ReconfigSec + rep.PredictedSeconds
-
-	// The verify job outlives this request, and the scratch-decoded
-	// matrices alias the pooled request buffer — so a sampled audit gets
-	// its own fully independent copy, taken here, inside the request.
-	f.maybeOfferVerify(fp, snap.Version(), ent.Features, proposed, func() (*Workload, error) {
-		return sim.NewWorkload(va.DecodeCopy(), vb.DecodeCopy())
-	})
-	return rep, CompareBaselineStats(ent.Baseline), nil
-}

@@ -28,7 +28,7 @@ func encodePair(t testing.TB, a, b *Matrix) (WireView, WireView) {
 
 // TestAnalyzeFastWireMatchesWorkloadPath: binary ingestion must be a pure
 // transport change — two identically trained frameworks, one fed decoded
-// workloads (AnalyzeFastOn) and one fed wire views (AnalyzeFastWire),
+// matrices and one fed wire views, both through Serve's fast path,
 // produce bit-identical deterministic report fields, identical tier
 // decisions, and identical baseline comparisons, across cache misses,
 // hits and repeats.
@@ -49,16 +49,15 @@ func TestAnalyzeFastWireMatchesWorkloadPath(t *testing.T) {
 	defer byWire.Close()
 
 	ctx := context.Background()
-	var scratch WireScratch
 	for i, p := range fastTestPairs() {
-		want, err := byStruct.AnalyzeFast(ctx, p[0], p[1])
+		want, err := byStruct.Analyze(ctx, p[0], p[1])
 		if err != nil {
 			t.Fatal(err)
 		}
 		wantBase := CompareBaselines(p[0], p[1])
 
 		va, vb := encodePair(t, p[0], p[1])
-		got, gotBase, err := byWire.AnalyzeFastWire(ctx, byWire.DefaultDevice(), va, vb, &scratch)
+		got, err := byWire.Serve(ctx, &Request{WireA: va, WireB: vb})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -68,8 +67,8 @@ func TestAnalyzeFastWireMatchesWorkloadPath(t *testing.T) {
 		if want != got {
 			t.Fatalf("pair %d: wire and workload reports diverge:\nworkload: %+v\nwire:     %+v", i, want, got)
 		}
-		if gotBase != wantBase {
-			t.Fatalf("pair %d: baselines diverge:\nworkload: %+v\nwire:     %+v", i, wantBase, gotBase)
+		if got.Baseline != wantBase {
+			t.Fatalf("pair %d: baselines diverge:\nworkload: %+v\nwire:     %+v", i, wantBase, got.Baseline)
 		}
 	}
 
@@ -88,9 +87,10 @@ func TestAnalyzeFastWireMatchesWorkloadPath(t *testing.T) {
 }
 
 // TestAnalyzeFastWireWarmHitSkipsDecode pins the zero-copy payoff: a warm
-// fast hit is answered from the wire fingerprint alone. The probe's
-// scratch stays untouched — nothing was decoded — and the baseline
-// comparison still arrives, priced from the cached stats.
+// fast hit is answered from the wire fingerprint alone. The probe request
+// never materializes its operands, its scratch goes back to the pool,
+// and the baseline comparison still arrives, priced from the cached
+// stats.
 func TestAnalyzeFastWireWarmHitSkipsDecode(t *testing.T) {
 	fw, err := Train(TrainOptions{CorpusSize: 90, LatencyCorpusSize: 110, MaxDim: 384, Seed: 5})
 	if err != nil {
@@ -103,36 +103,40 @@ func TestAnalyzeFastWireWarmHitSkipsDecode(t *testing.T) {
 	b := RandUniform(4, 300, 200, 0.03)
 	va, vb := encodePair(t, a, b)
 	ctx := context.Background()
-	dev := fw.DefaultDevice()
 
-	var warmup WireScratch
-	first, firstBase, err := fw.AnalyzeFastWire(ctx, dev, va, vb, &warmup)
+	warmup := &Request{WireA: va, WireB: vb}
+	first, err := fw.Serve(ctx, warmup)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if first.Path != PathFast {
 		t.Fatalf("warmup path %q, want %q (gate at 0 always passes)", first.Path, PathFast)
 	}
-	if warmup.a.Rows != a.Rows || warmup.b.Rows != b.Rows {
-		t.Fatal("warmup miss did not decode into the scratch")
+	if !warmup.decoded {
+		t.Fatal("warmup miss did not decode its operands")
 	}
 
-	var probe WireScratch
-	second, secondBase, err := fw.AnalyzeFastWire(ctx, dev, va, vb, &probe)
+	probe := &Request{WireA: va, WireB: vb}
+	second, err := fw.Serve(ctx, probe)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if second.Path != PathFast {
 		t.Fatalf("warm path %q, want %q", second.Path, PathFast)
 	}
-	if probe.a.Rows != 0 || probe.b.Rows != 0 || probe.a.RowPtr != nil {
-		t.Fatalf("warm hit decoded the operands: scratch %dx%d", probe.a.Rows, probe.a.Cols)
+	if probe.decoded {
+		t.Fatal("warm hit decoded the operands")
 	}
-	if secondBase != firstBase {
-		t.Fatalf("warm baselines diverge: first %+v, second %+v", firstBase, secondBase)
+	for _, r := range []*Request{warmup, probe} {
+		if r.w != nil || r.scratch != nil {
+			t.Fatal("a wire request kept its decode scratch past Serve")
+		}
 	}
-	if firstBase.CPUSeconds <= 0 || firstBase.GPUSeconds <= 0 {
-		t.Fatalf("baseline comparison is empty: %+v", firstBase)
+	if second.Baseline != first.Baseline {
+		t.Fatalf("warm baselines diverge: first %+v, second %+v", first.Baseline, second.Baseline)
+	}
+	if first.Baseline.CPUSeconds <= 0 || first.Baseline.GPUSeconds <= 0 {
+		t.Fatalf("baseline comparison is empty: %+v", first.Baseline)
 	}
 	cs, _ := fw.CacheStats()
 	if cs.FastHits < 1 {
@@ -151,15 +155,20 @@ func TestAnalyzeFastWireDimensionMismatch(t *testing.T) {
 	a := RandUniform(1, 50, 60, 0.1)
 	b := RandUniform(2, 70, 40, 0.1) // 60 != 70
 	va, vb := encodePair(t, a, b)
-	_, _, err = fw.AnalyzeFastWire(context.Background(), fw.DefaultDevice(), va, vb, nil)
+	req := &Request{WireA: va, WireB: vb}
+	_, err = fw.Serve(context.Background(), req)
 	if !errors.Is(err, ErrWire) {
 		t.Fatalf("err = %v, want ErrWire", err)
+	}
+	if req.decoded || req.keyed {
+		t.Fatal("a mismatched pair was decoded or keyed before being rejected")
 	}
 }
 
 // TestWireKeyMatchesAnalysisKey: the wire-fingerprint key must be the
-// exact key the decoded pair produces — in both feature flavours — or
-// binary and JSON traffic would split the cache.
+// exact key the decoded pair produces — in both feature flavours and for
+// every operand form a Request carries — or binary and JSON traffic
+// would split the cache.
 func TestWireKeyMatchesAnalysisKey(t *testing.T) {
 	fw, err := Train(TrainOptions{CorpusSize: 60, LatencyCorpusSize: 80, MaxDim: 256, Seed: 2})
 	if err != nil {
@@ -168,10 +177,20 @@ func TestWireKeyMatchesAnalysisKey(t *testing.T) {
 	a := RandPowerLaw(7, 128, 128, 900, 1.5)
 	b := RandUniform(8, 128, 96, 0.05)
 	va, vb := encodePair(t, a, b)
+	w, err := NewWorkload(a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, pruned := range []bool{false, true} {
 		fw.Options.TopFeaturesOnly = pruned
-		if got, want := fw.wireKey(va, vb), fw.analysisKey(a, b); got != want {
-			t.Fatalf("pruned=%v: wireKey %+v != analysisKey %+v", pruned, got, want)
+		want := fw.AnalysisKey(a, b)
+		if got := fw.WireKey(va, vb); got != want {
+			t.Fatalf("pruned=%v: WireKey %+v != AnalysisKey %+v", pruned, got, want)
+		}
+		for _, r := range []*Request{{A: a, B: b}, {Workload: w}, {WireA: va, WireB: vb}} {
+			if got := fw.RequestKey(r); got != want {
+				t.Fatalf("pruned=%v: RequestKey %+v != AnalysisKey %+v", pruned, got, want)
+			}
 		}
 	}
 }
