@@ -448,7 +448,9 @@ func BenchmarkSimulateAllSerial(b *testing.B) {
 // BenchmarkSimulateAllPrecomputed is the production engine on the same
 // workload: one shared Workload precompute, designs fanned over
 // goroutines, tiles over the bounded worker pool. The ratio against
-// BenchmarkSimulateAllSerial is the headline speedup in BENCH_PR1.json.
+// BenchmarkSimulateAllSerial is the engine's speedup; the serving
+// benchmark's sim.simulate_all_ms and sim.serial_ms rows track the same
+// pair of engines.
 func BenchmarkSimulateAllPrecomputed(b *testing.B) {
 	rng := rand.New(rand.NewSource(7))
 	a := sparse.Uniform(rng, 4000, 4000, 0.01)
@@ -472,8 +474,8 @@ func BenchmarkCorpusLabelling(b *testing.B) {
 }
 
 // BenchmarkCorpusLabellingParallel labels a fixed batch of corpus pairs
-// through dataset.LabelAll — the worker fan-out the corpus generator and
-// dataset.Label callers ride on.
+// through dataset.LabelAll's worker fan-out; BenchmarkCorpusLabelling is
+// the sequential dataset.Label it is compared with.
 func BenchmarkCorpusLabellingParallel(b *testing.B) {
 	rng := rand.New(rand.NewSource(11))
 	pairs := make([]dataset.Pair, 16)

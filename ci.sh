@@ -1,7 +1,8 @@
 #!/usr/bin/env sh
-# CI gate: formatting, vet, build, and the full test suite under the race
-# detector (the simulation engine schedules tiles and designs on shared
-# Workload caches, so -race is load-bearing, not optional).
+# CI gate: formatting, vet, build, the full test suite once plain and once
+# under the race detector (the simulation engine schedules tiles and
+# designs on shared Workload caches, so -race is load-bearing, not
+# optional), and the serving benchmark's own tests.
 set -eu
 
 echo "==> gofmt"
@@ -20,9 +21,16 @@ go build ./...
 
 # The benchmark harness is its own module: without these lines a root API
 # change that breaks benchmark/probes.go only shows up at benchmark time.
-echo "==> benchmark module: go vet + go test -short"
+# Its TestQuickSmoke runs every workload against real misam-serve
+# processes and checks each answer against sim.SimulateAllSerial.
+echo "==> benchmark module: go vet + go test"
 go vet -C benchmark ./...
-go test -C benchmark -short ./...
+go test -C benchmark ./...
+
+# The plain pass is the only one where wall-clock share assertions run
+# (TestFigure12OverheadsSmall skips under -race).
+echo "==> go test -shuffle=on ./..."
+go test -shuffle=on ./...
 
 echo "==> go test -race -shuffle=on ./..."
 # -timeout raised past the 10m default: internal/reconfig alone runs
@@ -62,52 +70,6 @@ go test -race -run 'TestServeConfigurationsAgree' ./internal/server/
 # Scoped by name — the figure-scale benchmarks are far too slow for CI.
 echo "==> benchmark smoke (-benchtime=1x)"
 go test -run '^$' -bench 'Fingerprint|Memo|Cache|Registry|FastPath|SteadyState|WriteJSON|Binary|Fused' -benchtime=1x ./...
-
-# Fast-path experiment smoke: one quick-scale pass over the serving
-# tiers (baseline + four gate thresholds) without writing BENCH_PR5.json.
-echo "==> fastpath experiment smoke"
-go run ./cmd/misam-bench -scale quick -experiment fastpath -fastout ""
-
-# Slow-tier (v2, memoized) experiment smoke: one quick-scale pass over
-# the exact and pruned tiers. Writing to a scratch path (not the
-# committed BENCH_PR10.json) makes the driver run its write/re-read/
-# schema validation, and the run itself asserts argmin agreement, winner
-# bit-identity and the verifier tile-reuse floor on a real timing stream.
-echo "==> slowtier-v2 experiment smoke"
-slowout="${TMPDIR:-/tmp}/misam_bench_pr10_smoke.json"
-go run ./cmd/misam-bench -scale quick -experiment slowtier -slowout "$slowout"
-rm -f "$slowout"
-
-# Placement experiment smoke: one quick-scale replay of the skewed
-# stream through the FIFO pool and the placement pool. The scratch path
-# exercises the write/re-read/schema validation, and the run itself
-# fails unless every analysis is bit-identical between pools and
-# placement avoids >= 50% of FIFO's reconfigurations.
-echo "==> placement experiment smoke"
-placeout="${TMPDIR:-/tmp}/misam_bench_pr7_smoke.json"
-go run ./cmd/misam-bench -scale quick -experiment placement -placeout "$placeout"
-rm -f "$placeout"
-
-# Ingest experiment smoke: one quick-scale pass over binary-vs-
-# MatrixMarket decode, fused extraction, and both e2e serving paths.
-# The scratch path exercises the write/re-read/schema validation, and
-# the run itself fails unless the decode speedup, zero-alloc, transport
-# bit-identity and e2e-p50 gates all hold.
-echo "==> ingest experiment smoke"
-ingestout="${TMPDIR:-/tmp}/misam_bench_pr8_smoke.json"
-go run ./cmd/misam-bench -scale quick -experiment ingest -ingestout "$ingestout"
-rm -f "$ingestout"
-
-# Cluster experiment smoke: one quick-scale replay of a repeated-operand
-# stream through a two-node loopback cluster and a single node. The
-# scratch path exercises the write/re-read/schema validation, and the
-# run itself fails unless the deployments answer bit-identically, each
-# pair is built on exactly one member, the cluster warm hit stays within
-# 2x of the single node, and a mid-stream peer kill loses zero requests.
-echo "==> cluster experiment smoke"
-clusterout="${TMPDIR:-/tmp}/misam_bench_pr9_smoke.json"
-go run ./cmd/misam-bench -scale quick -experiment cluster -clusterout "$clusterout"
-rm -f "$clusterout"
 
 # Two-node serving smoke over the public API: real misam-serve processes
 # proving ownership routing, forward counters, boot replication and

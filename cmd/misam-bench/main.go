@@ -6,6 +6,9 @@
 //	misam-bench -experiment fig10    # one experiment
 //	misam-bench -scale paper         # paper-scale corpora and workloads (slow)
 //	misam-bench -scale quick         # smallest sizes (CI)
+//
+// Serving performance is measured by the benchmark module instead
+// (go run -C benchmark .; see benchmark/README.md).
 package main
 
 import (
@@ -120,19 +123,7 @@ func main() {
 
 	scale := flag.String("scale", "default", "experiment scale: quick, default, or paper")
 	experiment := flag.String("experiment", "all",
-		"which experiment to run: all, fig1, fig3, fig4, fig6, fig8, fig9, fig10, fig11, fig12, fig13, table1, table2, table3, table4, table5, multitenant, router, objective, reconfigmodes, learningcurve, phases, heuristics, perf, fastpath, slowtier, placement, ingest, cluster")
-	perfout := flag.String("perfout", "BENCH_PR3.json",
-		"where the perf experiment writes its machine-readable report (empty to skip the file)")
-	fastout := flag.String("fastout", "BENCH_PR5.json",
-		"where the fastpath experiment writes its machine-readable report (empty to skip the file)")
-	slowout := flag.String("slowout", "BENCH_PR10.json",
-		"where the slowtier experiment writes its machine-readable report (empty to skip the file)")
-	placeout := flag.String("placeout", "BENCH_PR7.json",
-		"where the placement experiment writes its machine-readable report (empty to skip the file)")
-	ingestout := flag.String("ingestout", "BENCH_PR8.json",
-		"where the ingest experiment writes its machine-readable report (empty to skip the file)")
-	clusterout := flag.String("clusterout", "BENCH_PR9.json",
-		"where the cluster experiment writes its machine-readable report (empty to skip the file)")
+		"which experiment to run: all, fig1, fig3, fig4, fig6, fig8, fig9, fig10, fig11, fig12, fig13, table1, table2, table3, table4, table5, multitenant, router, objective, reconfigmodes, learningcurve, phases, heuristics")
 	dumpBinary := flag.String("dump-binary", "",
 		"comma-separated generator specs (e.g. 'uniform:200:200:0.05,dense:64'); encodes them as "+
 			"concatenated binary wire blobs on stdout — pipe into curl for the binary analyze endpoints")
@@ -187,46 +178,11 @@ func main() {
 		{"learningcurve", func() error { _, err := experiments.LearningCurve(ctx, w); return err }},
 		{"phases", func() error { _, err := experiments.Phases(ctx, w); return err }},
 		{"heuristics", func() error { _, err := experiments.Heuristics(ctx, w); return err }},
-		// perf is opt-in (-experiment perf): it re-times the simulation
-		// engine and rewrites the perf trajectory record (BENCH_PR3.json).
-		{"perf", func() error { _, err := experiments.PerfReport(*perfout, w); return err }},
-		// fastpath is opt-in too (-experiment fastpath): it re-times the
-		// confidence-gated serving tiers and rewrites BENCH_PR5.json.
-		{"fastpath", func() error { _, err := experiments.FastPathReport(ctx, *fastout, w); return err }},
-		// slowtier is opt-in (-experiment slowtier): it re-times the exact
-		// and pruned (memoized) simulation tiers and rewrites
-		// BENCH_PR10.json.
-		{"slowtier", func() error { _, err := experiments.SlowTierReport(ctx, *slowout, w); return err }},
-		// placement is opt-in (-experiment placement): it replays a skewed
-		// stream through the FIFO and placement pools and rewrites
-		// BENCH_PR7.json. It publishes a CGRA-mode pricing snapshot into
-		// the shared framework, so it runs with its own context.
-		{"placement", func() error {
-			_, err := experiments.PlacementReport(experiments.NewContext(cfg), *placeout, w)
-			return err
-		}},
-		// ingest is opt-in (-experiment ingest): it benchmarks the binary
-		// wire format against MatrixMarket/JSON ingestion and rewrites
-		// BENCH_PR8.json.
-		{"ingest", func() error { _, err := experiments.IngestReport(ctx, *ingestout, w); return err }},
-		// cluster is opt-in (-experiment cluster): it replays a repeated
-		// stream through a 2-node loopback cluster and a single node,
-		// gates equivalence / warm-hit latency / peer-kill survival, and
-		// rewrites BENCH_PR9.json. Like placement it publishes CGRA-mode
-		// pricing snapshots, so it runs with its own context.
-		{"cluster", func() error {
-			_, err := experiments.ClusterReport(experiments.NewContext(cfg), *clusterout, w)
-			return err
-		}},
 	}
 
 	want := strings.ToLower(*experiment)
 	ran := 0
 	for _, d := range drivers {
-		if want == "all" && (d.name == "perf" || d.name == "fastpath" || d.name == "slowtier" ||
-			d.name == "placement" || d.name == "ingest" || d.name == "cluster") {
-			continue
-		}
 		if want != "all" && want != d.name {
 			continue
 		}

@@ -43,11 +43,6 @@ type Sample struct {
 	// Best is the argmin-latency design — the default classification
 	// label (see Corpus.LabelsFor for other objectives).
 	Best sim.DesignID
-	// Pruned marks designs labelled by the pruned slow tier with a lower
-	// bound instead of an exact simulation (Best is still the exact
-	// argmin). Pruned entries carry zero EnergyJ and are excluded from the
-	// latency-regressor corpus by GenerateLatency.
-	Pruned [sim.NumDesigns]bool
 }
 
 // BestFor returns the optimal design under a weighted latency/energy
@@ -285,50 +280,26 @@ func Label(p Pair) (Sample, error) {
 // LabelCtx is Label under a context: cancellation aborts the four design
 // simulations mid-tile-pool and returns ctx.Err().
 func LabelCtx(ctx context.Context, p Pair) (Sample, error) {
-	return labelCtxOpts(ctx, p, LabelOptions{})
-}
-
-// LabelOptions tunes batch labelling.
-type LabelOptions struct {
-	// Pruned labels through the pruned slow tier (coarse-then-exact +
-	// early-exit): Best and the winner's latency are still exact, but
-	// losing designs the pruner eliminated carry lower-bound latencies,
-	// marked in Sample.Pruned, and zero energy. Pruned corpora are valid
-	// for classifier training (the argmin label is exact) but weighted
-	// latency/energy objectives and per-design latency regression need
-	// the exact tier for the pruned entries.
-	Pruned bool
-}
-
-func labelCtxOpts(ctx context.Context, p Pair, opt LabelOptions) (Sample, error) {
 	w, err := sim.NewWorkload(p.A, p.B)
 	if err != nil {
 		return Sample{}, fmt.Errorf("dataset: labelling %s: %w", p.Family, err)
 	}
-	var results [sim.NumDesigns]sim.Result
-	if opt.Pruned {
-		results, err = w.SimulateAllOpts(ctx, sim.PruneOptions())
-	} else {
-		results, err = w.SimulateAllCtx(ctx)
-	}
+	results, err := w.SimulateAllCtx(ctx)
 	if err != nil {
 		return Sample{}, fmt.Errorf("dataset: labelling %s: %w", p.Family, err)
 	}
 	s := Sample{Pair: p, Features: features.Extract(p.A, p.B), Best: sim.BestDesign(results)}
 	for _, id := range sim.AllDesigns {
 		s.LatencySec[id] = results[id].Seconds
-		s.Pruned[id] = results[id].Pruned
-		if !results[id].Pruned {
-			s.EnergyJ[id] = energy.FPGAEnergy(results[id])
-		}
+		s.EnergyJ[id] = energy.FPGAEnergy(results[id])
 	}
 	return s, nil
 }
 
 // LabelAll labels a batch of pairs, fanning the per-pair work out across
 // GOMAXPROCS workers. Results keep the input order; the first error (in
-// input order) wins. Corpus regeneration and the benchmark harness use it
-// to label paper-scale pair sets without serializing on Label. ctx
+// input order) wins. It labels a pair set without serializing on Label;
+// BenchmarkCorpusLabellingParallel times it against sequential Label. ctx
 // cancellation stops the workers between pairs (and aborts in-flight
 // simulations) and returns ctx.Err().
 //
@@ -339,12 +310,6 @@ func labelCtxOpts(ctx context.Context, p Pair, opt LabelOptions) (Sample, error)
 // same weight matrix across many records, so the saving is proportional
 // to the repetition rate.
 func LabelAll(ctx context.Context, pairs []Pair) ([]Sample, error) {
-	return LabelAllOpts(ctx, pairs, LabelOptions{})
-}
-
-// LabelAllOpts is LabelAll with explicit labelling options; the zero
-// LabelOptions value is the exact tier, bit-identical to LabelAll.
-func LabelAllOpts(ctx context.Context, pairs []Pair, opt LabelOptions) ([]Sample, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -385,7 +350,7 @@ func LabelAllOpts(ctx context.Context, pairs []Pair, opt LabelOptions) ([]Sample
 					return
 				}
 				i := reps[r]
-				samples[i], errs[i] = labelCtxOpts(ctx, pairs[i], opt)
+				samples[i], errs[i] = LabelCtx(ctx, pairs[i])
 			}
 		}()
 	}
@@ -481,16 +446,10 @@ func LatencyFromTarget(t float64) float64 {
 }
 
 // GenerateLatency builds the latency-predictor training set from a
-// classifier corpus: one record per (sample, design). Entries a pruned
-// labelling pass left as lower bounds are skipped — a regressor fit to
-// bounds would systematically underpredict the designs the pruner
-// eliminates most often.
+// classifier corpus: one record per (sample, design).
 func GenerateLatency(c *Corpus) (x [][]float64, y []float64) {
 	for _, s := range c.Samples {
 		for _, id := range sim.AllDesigns {
-			if s.Pruned[id] {
-				continue
-			}
 			x = append(x, LatencyRecordFeatures(s.Features, id))
 			y = append(y, LatencyTarget(s.LatencySec[id]))
 		}

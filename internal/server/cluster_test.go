@@ -34,7 +34,7 @@ func cloneFW(t *testing.T) *misam.Framework {
 // publishCGRA pins deterministic decisions for equivalence runs: the
 // same models priced under CGRA-mode switching, where the engine's
 // verdict no longer depends on which bitstream a device happens to
-// hold (see the placement benchmark, which uses the same regime).
+// hold (misam.TestPlacementPoolMatchesFIFO uses the same regime).
 func publishCGRA(t *testing.T, fw *misam.Framework) {
 	t.Helper()
 	cur := fw.Registry().Current()

@@ -93,7 +93,8 @@ type Config struct {
 	// PrunedVerify routes background audits through the pruned slow tier
 	// (coarse-then-exact + early-exit) instead of the exact four-design
 	// pipeline — same argmin and exact winner, lower-bound losers marked
-	// in the trace, roughly the BENCH_PR10 speedup per audit. Only
+	// in the trace, roughly the speedup of
+	// sim.BenchmarkSimulateAllPrunedSteadyState over the exact tier. Only
 	// meaningful with FastPath.
 	PrunedVerify bool
 	// Placement enables bitstream-aware device selection: each request's

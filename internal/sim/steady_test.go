@@ -83,8 +83,8 @@ func BenchmarkSimulateAllSteadyState(b *testing.B) {
 }
 
 // BenchmarkSimulateAllPrunedSteadyState is the same workload through the
-// coarse-then-exact + early-exit path — the slow-tier speedup headline of
-// BENCH_PR10.json.
+// coarse-then-exact + early-exit path; its ratio against
+// BenchmarkSimulateAllSteadyState is the pruned slow tier's speedup.
 func BenchmarkSimulateAllPrunedSteadyState(b *testing.B) {
 	old := numTileWorkers
 	numTileWorkers = func() int { return 1 }

@@ -1058,8 +1058,9 @@ func finishTile(cfg Config, s Span, elems []Elem, tileNNZ int64, bCols int, busy
 
 // SimulateAllSerial is the reference implementation: every design runs
 // sequentially, each with a fresh precompute and a serial tile loop,
-// exactly like the pre-Workload engine. The equivalence tests and the
-// BENCH_PR1.json speedup figures compare against it.
+// exactly like the pre-Workload engine. The equivalence tests,
+// BenchmarkSimulateAllSerial and the serving benchmark's answer check
+// compare against it.
 func SimulateAllSerial(a, b *sparse.CSR) ([NumDesigns]Result, error) {
 	var out [NumDesigns]Result
 	for _, id := range AllDesigns {

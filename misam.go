@@ -450,7 +450,9 @@ type Report struct {
 	Confidence float64
 	// ModelVersion is the registry version of the model snapshot that
 	// served the request (1 for a freshly trained/loaded framework).
-	ModelVersion      uint64
+	ModelVersion uint64
+	// PreprocessSeconds is host time spent keying, probing and extracting
+	// features; simulation and baseline statistics are not counted.
 	PreprocessSeconds float64
 	InferenceSeconds  float64
 	// PredictedSeconds is the latency predictor's estimate for the chosen

@@ -72,6 +72,9 @@ type Request struct {
 	scratch *WireScratch // decode arenas behind w, for wire operands
 	decoded bool         // the wire operands were materialized
 	an      *Analysis
+	// notPre is time the extract stage spent on the simulations and the
+	// baseline statistics, which PreprocessSeconds does not count.
+	notPre time.Duration
 }
 
 // Analysis returns the design-independent analysis the full tier served
@@ -81,7 +84,7 @@ func (r *Request) Analysis() *Analysis { return r.an }
 
 // init validates the operand pair before any stage runs.
 func (r *Request) init() error {
-	r.an, r.decoded = nil, false
+	r.an, r.decoded, r.notPre = nil, false, 0
 	switch {
 	case r.Workload != nil:
 	case r.A != nil && r.B != nil:
@@ -217,7 +220,11 @@ func (f *Framework) fastEntry(ctx context.Context, r *Request) (memo.FastEntry, 
 			return memo.FastEntry{}, err
 		}
 		w := r.workload()
-		return memo.FastEntry{Features: f.extract(w), Baseline: w.BaselineStats()}, nil
+		ent := memo.FastEntry{Features: f.extract(w)}
+		t := time.Now()
+		ent.Baseline = w.BaselineStats()
+		r.notPre += time.Since(t)
+		return ent, nil
 	}
 	if f.cache == nil {
 		return build(ctx)
@@ -237,6 +244,8 @@ func (f *Framework) analysis(ctx context.Context, r *Request) (*Analysis, error)
 		w := r.workload()
 		f.attachTileCache(w)
 		an := &Analysis{Features: f.extract(w)}
+		t := time.Now()
+		defer func() { r.notPre += time.Since(t) }()
 		var err error
 		if an.Results, err = w.SimulateAllCtx(ctx); err != nil {
 			return nil, err
@@ -304,7 +313,8 @@ func (f *Framework) Serve(ctx context.Context, r *Request) (Report, error) {
 	}
 	rep := Report{Path: PathFull}
 
-	// key, probe, extract.
+	// key, probe, extract: PreprocessSeconds is their time, plus a gate
+	// miss's analyze stage, less r.notPre.
 	t0 := time.Now()
 	var ent memo.FastEntry
 	var err error
@@ -361,7 +371,7 @@ func (f *Framework) Serve(ctx context.Context, r *Request) (Report, error) {
 		}
 		pre += time.Since(t)
 	}
-	rep.PreprocessSeconds = pre.Seconds()
+	rep.PreprocessSeconds = (pre - r.notPre).Seconds()
 
 	// acquire, decide.
 	dev, release, err := f.acquire(ctx, r, snap, v, proposed)
