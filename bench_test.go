@@ -387,7 +387,7 @@ func BenchmarkSimulateDesign2(b *testing.B) {
 	bm := sparse.DenseRandom(rng, 4000, 128)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sim.SimulateDesign(sim.Design2, a, bm); err != nil {
+		if _, err := misam.SimulateDesign(sim.Design2, a, bm); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -457,7 +457,7 @@ func BenchmarkSimulateAllPrecomputed(b *testing.B) {
 	bm := sparse.DenseRandom(rng, 4000, 128)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sim.SimulateAll(a, bm); err != nil {
+		if _, err := misam.SimulateAllDesigns(a, bm); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -467,7 +467,7 @@ func BenchmarkCorpusLabelling(b *testing.B) {
 	rng := rand.New(rand.NewSource(11))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := dataset.Label(dataset.RandomPair(rng, 512)); err != nil {
+		if _, err := dataset.Label(context.Background(), dataset.RandomPair(rng, 512)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -705,7 +705,11 @@ func BenchmarkAblationDepGap(b *testing.B) {
 				for _, id := range sim.SpMMDesigns {
 					cfg := sim.GetConfig(id)
 					cfg.DepGapCycles = gap
-					r, err := sim.Simulate(cfg, w.a, w.bm)
+					wk, err := sim.NewWorkload(w.a, w.bm)
+					if err != nil {
+						b.Fatal(err)
+					}
+					r, err := wk.SimulateCtx(context.Background(), cfg)
 					if err != nil {
 						b.Fatal(err)
 					}

@@ -44,11 +44,12 @@ go test -race -shuffle=on -timeout 30m ./...
 echo "==> registry hot-swap hammer (-race)"
 go test -race -run 'TestSwapRollbackHammer|TestAnalyzeDuringHotSwap' ./internal/registry/ .
 
-# The early-exit pruned tier races a shared best-so-far bound across the
-# design fan-out, and the tile cache races concurrent lookups, stores and
-# mid-sim bound aborts on shared striped slots; run both hammers by name
-# under -race so a future -run filter on the main pass can't silently
-# skip them.
+# The pruned tier's early-exit bound is raced by the tile workers of the
+# design being simulated, and concurrent callers (exact and pruned) share
+# one Workload's pooled bounds, scratches and caches; the tile cache races
+# concurrent lookups, stores and mid-sim bound aborts on shared striped
+# slots. Run both hammers by name under -race so a future -run filter on
+# the main pass can't silently skip them.
 echo "==> early-exit racing bound + tile-cache hammer (-race)"
 go test -race -run 'TestEarlyExitRacingBound|TestTileBoundRaceHammer' ./internal/sim/
 
@@ -90,11 +91,12 @@ go test -run '^$' -fuzz 'FuzzDecodeBinary' -fuzztime 10s ./internal/sparse/
 echo "==> tile stream hash fuzz smoke (-fuzztime=10s)"
 go test -run '^$' -fuzz 'FuzzTileStreamHash' -fuzztime 10s ./internal/sim/
 
-# The zero-alloc ingestion pins guard the binary serving floor: run
-# them by name so a future -run filter on the main pass can't silently
-# skip them.
-echo "==> zero-alloc ingestion pins"
-go test -run 'SteadyStateZeroAllocs' ./internal/sparse/ ./internal/features/
+# The zero-alloc pins guard the binary serving floor (ingestion) and the
+# simulator's warm steady state, whose serial/parallel split keeps result
+# arrays out of goroutine closures: run them by name so a future -run
+# filter on the main pass can't silently skip them.
+echo "==> zero-alloc pins"
+go test -run 'SteadyStateZeroAllocs' ./internal/sparse/ ./internal/features/ ./internal/sim/
 
 # Online-adaptation smoke: replay a tiny shifting stream through the
 # collector end to end (drift report + retrain + promotion gate).

@@ -11,6 +11,12 @@
 // traces, shadow-evaluates it against the live model, and promotes it
 // into the versioned registry only when it wins.
 //
+// With -fastpath, requests whose selector leaf clears -confidence are
+// answered from the model alone, and one in -verify-sample of them is
+// re-simulated exactly in the background to audit the model. The analyze
+// endpoints always accept both JSON and binary (application/x-misam-csr)
+// operand bodies.
+//
 //	misam-serve -model misam.model -addr :8080 -devices 4 -timeout 30s \
 //	            -online -trace-sample 4 -retrain-interval 5m
 //	curl -s localhost:8080/v1/designs | jq
@@ -80,11 +86,9 @@ func main() {
 	fastPath := flag.Bool("fastpath", false, "serve high-confidence requests from the model without simulation")
 	confidence := flag.Float64("confidence", 0.9, "fast-path gate: minimum selector leaf confidence (>= 1 disables the fast tier)")
 	verifySample := flag.Int("verify-sample", 8, "re-simulate one in N fast-path hits in the background (<= 0 disables)")
-	prunedVerify := flag.Bool("pruned-verify", false, "run background audits through the pruned slow tier (same argmin, lower-bound losers)")
 	placementOn := flag.Bool("placement", false, "bitstream-aware device selection: route each request to the idle device where serving it is predicted cheapest")
 	queueWeight := flag.Float64("queue-weight", 0, "placement cost model queue-pressure weight (<= 0 = package default)")
 	rebalanceEvery := flag.Duration("rebalance-interval", 0, "background portfolio rebalancer cadence (0 = off; needs -placement)")
-	binary := flag.Bool("binary", true, "accept application/x-misam-csr binary operand bodies on the analyze endpoints")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (own mux; off when empty)")
 	nodeID := flag.String("node-id", "", "this node's advertised base URL in a cluster (e.g. http://10.0.0.1:8080; empty = no cluster)")
 	peers := flag.String("peers", "", "comma-separated peer base URLs (requires -node-id)")
@@ -151,11 +155,9 @@ func main() {
 		FastPath:          *fastPath,
 		Confidence:        *confidence,
 		VerifySample:      *verifySample,
-		PrunedVerify:      *prunedVerify,
 		Placement:         *placementOn,
 		QueueWeight:       *queueWeight,
 		RebalanceInterval: *rebalanceEvery,
-		DisableBinary:     !*binary,
 		Cluster:           clusterCfg,
 	})
 	if err != nil {

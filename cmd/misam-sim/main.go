@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -59,8 +60,12 @@ func main() {
 
 	fmt.Printf("%-10s %12s %12s %10s %10s %10s %10s %8s %9s\n",
 		"design", "cycles", "time(ms)", "compute", "A-read", "B-read", "C-write", "util", "bubbles")
+	w, err := sim.NewWorkload(a, b)
+	if err != nil {
+		log.Fatal(err)
+	}
 	for _, id := range designs {
-		r, err := sim.SimulateDesign(id, a, b)
+		r, err := w.SimulateCtx(context.Background(), sim.GetConfig(id))
 		if err != nil {
 			log.Fatal(err)
 		}

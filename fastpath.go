@@ -54,14 +54,6 @@ type FastPathConfig struct {
 	// when <= 0).
 	VerifyWorkers int
 	VerifyQueue   int
-	// PrunedVerify runs background audits through the pruned slow tier
-	// (coarse-then-exact + early-exit) instead of the exact four-design
-	// pipeline. The audit's argmin and the winner's Result are unchanged
-	// — pruning is exactness-preserving for both — but pruned losers
-	// carry lower bounds, which the trace marks so the retrainer never
-	// fits a regressor to them. Pruned audits bypass the analysis cache:
-	// its entries promise exact Results for arbitrary targets.
-	PrunedVerify bool
 }
 
 // DefaultFastPathConfig serves at 0.9 leaf confidence and audits one in
@@ -192,12 +184,6 @@ func (f *Framework) maybeOfferVerify(fp *fastPath, r *Request, version uint64, v
 		Predicted:    proposed,
 		ModelVersion: version,
 		Simulate: func(ctx context.Context) ([sim.NumDesigns]sim.Result, error) {
-			if fp.cfg.PrunedVerify {
-				// The pruned tier's loser entries are lower bounds, so
-				// they must not populate the (exact-keyed) analysis
-				// cache; simulate directly on the shared Workload.
-				return audit.Workload.SimulateAllPrunedCtx(ctx)
-			}
 			// With a cache enabled the audit also warms the pair's full
 			// Analysis for future requests.
 			an, err := f.analysis(ctx, audit)

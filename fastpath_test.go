@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"misam/internal/mltree"
-	"misam/internal/sim"
 )
 
 // fastTestPairs generates a deterministic mixed workload, with repeats so
@@ -223,64 +222,6 @@ func TestFastPathVerifierFeedsOnlineLoop(t *testing.T) {
 				t.Fatalf("audit trace design %d has no simulated latency: %+v", id, tr)
 			}
 		}
-	}
-}
-
-// TestFastPathPrunedVerify: with PrunedVerify the background audits run
-// the pruned slow tier. The traces still carry an exact argmin label and
-// strictly-worse entries for every loser; pruned losers are marked; and
-// the exact-keyed analysis cache sees no audit traffic (pruned results
-// must never populate it).
-func TestFastPathPrunedVerify(t *testing.T) {
-	fw, err := Train(TrainOptions{CorpusSize: 90, LatencyCorpusSize: 110, MaxDim: 384, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fw.WithCache(8<<20).WithTraceCapture(256, 1)
-	fw.WithFastPath(FastPathConfig{Confidence: 0.5, VerifySample: 1, VerifyWorkers: 2, VerifyQueue: 64, PrunedVerify: true})
-	defer fw.Close()
-
-	ctx := context.Background()
-	for _, p := range fastTestPairs() {
-		if _, err := fw.Analyze(ctx, p[0], p[1]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	dctx, cancel := context.WithTimeout(ctx, 30*time.Second)
-	defer cancel()
-	if err := fw.DrainVerifier(dctx); err != nil {
-		t.Fatalf("drain: %v", err)
-	}
-	st, _ := fw.FastPathStats()
-	if st.Verifier.Verified == 0 {
-		t.Fatalf("verifier verified nothing: %+v", st.Verifier)
-	}
-	traces := fw.Traces().Snapshot()
-	if len(traces) == 0 {
-		t.Fatal("no audit trace reached the collector")
-	}
-	for _, tr := range traces {
-		if tr.Pruned[tr.Best] {
-			t.Fatalf("audit trace's Best %v is marked pruned: %+v", tr.Best, tr)
-		}
-		for id, sec := range tr.Seconds {
-			if sec <= 0 {
-				t.Fatalf("audit trace design %d has no latency: %+v", id, tr)
-			}
-			if sim.DesignID(id) != tr.Best && sec <= tr.Seconds[tr.Best] {
-				t.Fatalf("audit trace design %d (%.6g s) not strictly worse than Best %v (%.6g s)",
-					id, sec, tr.Best, tr.Seconds[tr.Best])
-			}
-		}
-	}
-	// Fast-path hits use the salted features-only keyspace; with pruned
-	// audits bypassing the analysis cache, only slow-path requests may
-	// touch the full-analysis entries. All audits were pruned, so the
-	// full-entry traffic must equal the slow-path request count.
-	cs, _ := fw.CacheStats()
-	if cs.Hits+cs.Misses != st.Slow {
-		t.Fatalf("pruned audits leaked into the analysis cache: %d full-entry lookups for %d slow requests (stats %+v)",
-			cs.Hits+cs.Misses, st.Slow, cs)
 	}
 }
 

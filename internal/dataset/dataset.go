@@ -272,14 +272,9 @@ func scientificB(rng *rand.Rand, k, maxDim int) *sparse.CSR {
 // designs share one sim.Workload precompute, so the pair's CSC form, B
 // row counts, tilings and element bins are derived once rather than per
 // design — this is the hot kernel of corpus generation (one call per
-// training sample).
-func Label(p Pair) (Sample, error) {
-	return LabelCtx(context.Background(), p)
-}
-
-// LabelCtx is Label under a context: cancellation aborts the four design
-// simulations mid-tile-pool and returns ctx.Err().
-func LabelCtx(ctx context.Context, p Pair) (Sample, error) {
+// training sample). Cancelling ctx aborts the four design simulations
+// mid-tile-pool and returns ctx.Err().
+func Label(ctx context.Context, p Pair) (Sample, error) {
 	w, err := sim.NewWorkload(p.A, p.B)
 	if err != nil {
 		return Sample{}, fmt.Errorf("dataset: labelling %s: %w", p.Family, err)
@@ -350,7 +345,7 @@ func LabelAll(ctx context.Context, pairs []Pair) ([]Sample, error) {
 					return
 				}
 				i := reps[r]
-				samples[i], errs[i] = LabelCtx(ctx, pairs[i])
+				samples[i], errs[i] = Label(ctx, pairs[i])
 			}
 		}()
 	}
@@ -406,7 +401,7 @@ func GenerateClassifier(rng *rand.Rand, n, maxDim int) (*Corpus, error) {
 					return
 				}
 				local := rand.New(rand.NewSource(seeds[i]))
-				samples[i], errs[i] = Label(RandomPair(local, maxDim))
+				samples[i], errs[i] = Label(context.Background(), RandomPair(local, maxDim))
 			}
 		}()
 	}

@@ -231,7 +231,7 @@ func TestLabelAllDedupsIdenticalPairs(t *testing.T) {
 		}
 	}
 	// The replicated labels must equal a direct (non-deduped) labelling.
-	direct, err := Label(pairs[1])
+	direct, err := Label(context.Background(), pairs[1])
 	if err != nil {
 		t.Fatal(err)
 	}

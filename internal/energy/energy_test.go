@@ -1,6 +1,7 @@
 package energy
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -114,7 +115,11 @@ func TestDetailedEnergyConsistentWithEnvelope(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	a := sparse.Uniform(rng, 3000, 3000, 0.01)
 	bm := sparse.DenseRandom(rng, 3000, 128)
-	res, err := sim.SimulateDesign(sim.Design2, a, bm)
+	w, err := sim.NewWorkload(a, bm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := w.SimulateCtx(context.Background(), sim.GetConfig(sim.Design2))
 	if err != nil {
 		t.Fatal(err)
 	}

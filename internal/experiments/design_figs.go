@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"sort"
@@ -61,7 +62,7 @@ func Figure3(ctx *Context, w io.Writer) (Figure3Result, error) {
 		}
 		var lat [3]float64
 		for i, id := range sim.SpMMDesigns {
-			r, err := wk.SimulateDesign(id)
+			r, err := wk.SimulateCtx(context.Background(), sim.GetConfig(id))
 			if err != nil {
 				return res, err
 			}

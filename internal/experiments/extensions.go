@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"time"
@@ -276,7 +277,7 @@ func Phases(ctx *Context, w io.Writer) ([]PhasesResult, error) {
 	for _, tr := range traces {
 		res := PhasesResult{Trace: tr.name}
 		// The first phase's best design is the static baseline.
-		first, err := sim.SimulateAll(tr.phases[0].A, tr.phases[0].B)
+		first, err := misam.SimulateAllDesigns(tr.phases[0].A, tr.phases[0].B)
 		if err != nil {
 			return nil, err
 		}
@@ -296,11 +297,11 @@ func Phases(ctx *Context, w io.Writer) ([]PhasesResult, error) {
 			if err != nil {
 				return nil, err
 			}
-			exec, err := wk.SimulateDesign(dec.Target)
+			exec, err := wk.SimulateCtx(context.Background(), sim.GetConfig(dec.Target))
 			if err != nil {
 				return nil, err
 			}
-			staticRes, err := wk.SimulateDesign(static)
+			staticRes, err := wk.SimulateCtx(context.Background(), sim.GetConfig(static))
 			if err != nil {
 				return nil, err
 			}

@@ -46,7 +46,7 @@ func runMisamOnSuite(ctx *Context) ([]sim.Result, []sim.DesignID, error) {
 	chosen := make([]sim.DesignID, len(suite))
 	for i, wl := range suite {
 		id := fw.Selector.Select(misamFeatures(wl.A, wl.B))
-		r, err := sim.SimulateDesign(id, wl.A, wl.B)
+		r, err := misam.SimulateDesign(id, wl.A, wl.B)
 		if err != nil {
 			return nil, nil, fmt.Errorf("experiments: %s: %w", wl.Name, err)
 		}

@@ -5,6 +5,7 @@ import (
 	"io"
 	"math"
 
+	"misam"
 	"misam/internal/dataset"
 	"misam/internal/mltree"
 	"misam/internal/reconfig"
@@ -119,7 +120,7 @@ func Figure8(ctx *Context, w io.Writer) (Figure8Result, error) {
 		proposed := fw.Selector.Select(v)
 		dec := fw.Engine.Decide(st, v, proposed, float64(sc.Batch))
 
-		all, err := sim.SimulateAll(sc.A, sc.B)
+		all, err := misam.SimulateAllDesigns(sc.A, sc.B)
 		if err != nil {
 			return res, err
 		}

@@ -32,13 +32,6 @@ type Trace struct {
 	// Seconds and Cycles are each design's simulated outcome.
 	Seconds [sim.NumDesigns]float64
 	Cycles  [sim.NumDesigns]int64
-	// Pruned marks designs whose Seconds/Cycles are early-exit or coarse
-	// lower bounds rather than exact totals (the pruned slow tier only
-	// proves such designs lose; it does not finish simulating them). Best
-	// is always exact — pruning preserves the argmin — but a pruned
-	// loser's latency must not be used as a regression target or a
-	// slowdown denominator.
-	Pruned [sim.NumDesigns]bool
 	// ModelVersion is the registry version that served the request.
 	ModelVersion uint64
 }

@@ -104,13 +104,6 @@ func shadowEval(sel selector, traces []Trace) (geomean, accuracy float64) {
 			// Degenerate simulation (empty product); neutral ratio.
 			continue
 		}
-		if traces[i].Pruned[chosen] {
-			// The chosen design's seconds are a pruned lower bound, not an
-			// exact total — the true slowdown is unknown (only provably
-			// > 1). Keep the accuracy miss (Best is always exact) but skip
-			// the ratio rather than understate it.
-			continue
-		}
 		logSum += math.Log(actual / oracle)
 	}
 	return math.Exp(logSum / float64(len(traces))), float64(correct) / float64(len(traces))
@@ -179,33 +172,16 @@ func Retrain(incumbent *registry.Snapshot, traces []Trace, cfg RetrainConfig) (*
 	}
 
 	// Refresh the latency regressors from the same traces: each design's
-	// tree learns (features → log10 ms) on the simulated outcomes. Traces
-	// from the pruned slow tier carry lower bounds (not exact totals) for
-	// pruned losers, so each design's corpus keeps only the traces where
-	// that design was simulated to completion; when a design has no exact
-	// samples at all, the incumbent's regressor for it is carried forward
-	// unchanged rather than fit to bounds.
+	// tree learns (features → log10 ms) on the simulated outcomes.
 	inc := incumbent.Engine()
 	latCfg := mltree.Config{MaxDepth: cfg.MaxDepth + 6, MinSamplesLeaf: 2}
 	pred := &reconfig.LatencyPredictor{}
 	for _, id := range sim.AllDesigns {
-		xs := make([][]float64, 0, len(train))
-		y := make([]float64, 0, len(train))
+		y := make([]float64, len(train))
 		for i := range train {
-			if train[i].Pruned[id] {
-				continue
-			}
-			xs = append(xs, x[i])
-			y = append(y, dataset.LatencyTarget(train[i].Seconds[id]))
+			y[i] = dataset.LatencyTarget(train[i].Seconds[id])
 		}
-		if len(xs) == 0 {
-			if inc.Predictor == nil || inc.Predictor.Regs[id] == nil {
-				return nil, out, fmt.Errorf("online: candidate %v regressor: no exact traces and no incumbent regressor to inherit", id)
-			}
-			pred.Regs[id] = inc.Predictor.Regs[id]
-			continue
-		}
-		reg, err := mltree.TrainRegressor(xs, y, latCfg)
+		reg, err := mltree.TrainRegressor(x, y, latCfg)
 		if err != nil {
 			return nil, out, fmt.Errorf("online: candidate %v regressor training: %w", id, err)
 		}

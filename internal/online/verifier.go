@@ -2,6 +2,7 @@ package online
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -143,10 +144,13 @@ func (v *Verifier) worker() {
 }
 
 // run re-simulates one fast-path decision and feeds the audit trace to
-// the collector.
+// the collector. A job that returns any pruned lower bound counts as an
+// error and is dropped: traces must carry every design's exact latency,
+// since the retrainer fits regressors to them and shadow evaluation
+// divides by them.
 func (v *Verifier) run(j VerifyJob) {
 	results, err := j.Simulate(v.ctx)
-	if err != nil {
+	if err != nil || slices.ContainsFunc(results[:], func(r sim.Result) bool { return r.Pruned }) {
 		v.errors.Add(1)
 		return
 	}
@@ -169,7 +173,6 @@ func (v *Verifier) run(j VerifyJob) {
 	for _, id := range sim.AllDesigns {
 		tr.Seconds[id] = results[id].Seconds
 		tr.Cycles[id] = results[id].Cycles
-		tr.Pruned[id] = results[id].Pruned
 	}
 	if v.col != nil {
 		v.col.Observe(tr)

@@ -121,8 +121,9 @@ func TestVerifierBackpressureDrops(t *testing.T) {
 	}
 }
 
-// TestVerifierSimulateError: failed simulations count as errors and feed
-// nothing to the collector.
+// TestVerifierSimulateError: failed simulations, and simulations that
+// return a pruned lower bound instead of an exact latency, count as
+// errors and feed nothing to the collector.
 func TestVerifierSimulateError(t *testing.T) {
 	col := NewCollector(64, 1)
 	v := NewVerifier(col, 1, 4)
@@ -130,17 +131,23 @@ func TestVerifierSimulateError(t *testing.T) {
 	v.Offer(VerifyJob{Simulate: func(context.Context) ([sim.NumDesigns]sim.Result, error) {
 		return [sim.NumDesigns]sim.Result{}, errors.New("boom")
 	}})
+	v.Offer(VerifyJob{Simulate: func(context.Context) ([sim.NumDesigns]sim.Result, error) {
+		results := verifyResults(sim.Design2)
+		results[sim.Design4].Pruned = true
+		results[sim.Design4].Seconds = 2 // a lower bound, still worse than the winner
+		return results, nil
+	}})
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	if err := v.Drain(ctx); err != nil {
 		t.Fatalf("drain: %v", err)
 	}
 	st := v.Stats()
-	if st.Errors != 1 || st.Verified != 0 {
-		t.Fatalf("stats = %+v, want 1 error / 0 verified", st)
+	if st.Errors != 2 || st.Verified != 0 {
+		t.Fatalf("stats = %+v, want 2 errors / 0 verified", st)
 	}
 	if col.Len() != 0 {
-		t.Fatalf("collector holds %d traces after a failed simulation, want 0", col.Len())
+		t.Fatalf("collector holds %d traces after failed or pruned simulations, want 0", col.Len())
 	}
 }
 

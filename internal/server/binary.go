@@ -33,18 +33,13 @@ import (
 // endpoints.
 const BinaryContentType = "application/x-misam-csr"
 
-// contentType reports the analyze body's format — BinaryContentType or
-// JSON — and rejects binary when the deployment disabled it.
-func (s *Server) contentType(r *http.Request) (string, *httpError) {
-	mt, _, err := mime.ParseMediaType(r.Header.Get("Content-Type"))
-	if err != nil || mt != BinaryContentType {
-		return "application/json", nil
+// contentType reports the analyze body's format: BinaryContentType or
+// JSON.
+func contentType(r *http.Request) string {
+	if mt, _, err := mime.ParseMediaType(r.Header.Get("Content-Type")); err == nil && mt == BinaryContentType {
+		return BinaryContentType
 	}
-	if s.cfg.DisableBinary {
-		return "", &httpError{http.StatusUnsupportedMediaType,
-			fmt.Errorf("binary ingestion is disabled on this server")}
-	}
-	return BinaryContentType, nil
+	return "application/json"
 }
 
 // parsePair validates the two operand blobs at the front of body,

@@ -180,29 +180,6 @@ func TestBinaryRejectsMalformed(t *testing.T) {
 	}
 }
 
-// TestBinaryDisabled: DisableBinary turns the format away with 415.
-func TestBinaryDisabled(t *testing.T) {
-	fw, err := misam.Train(misam.TrainOptions{CorpusSize: 80, MaxDim: 384, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := NewWithConfig(fw, Config{DisableBinary: true})
-	defer s.Close()
-	srv := httptest.NewServer(s.Handler())
-	defer srv.Close()
-
-	a := misam.RandUniform(1, 50, 50, 0.1)
-	resp, out := postBinary(t, srv.URL+"/v1/analyze", binBody(a, a))
-	if resp.StatusCode != http.StatusUnsupportedMediaType {
-		t.Fatalf("status %d, want 415 (%v)", resp.StatusCode, out)
-	}
-	// JSON still works on the same server.
-	jresp, jout := postAnalyze(t, srv, map[string]any{"a_spec": "uniform:100:100:0.05", "b_spec": "dense:32", "seed": 3})
-	if jresp.StatusCode != http.StatusOK {
-		t.Fatalf("JSON on binary-disabled server: status %d: %v", jresp.StatusCode, jout)
-	}
-}
-
 // TestInvalidMatrixMarketRejected: the JSON ingest boundary
 // invariant-checks parsed documents and answers 400 with the named
 // error, not a panic or a 500 from deep inside the pipeline.

@@ -90,13 +90,6 @@ type Config struct {
 	// verifier for asynchronous re-simulation (default 8; negative
 	// disables verification).
 	VerifySample int
-	// PrunedVerify routes background audits through the pruned slow tier
-	// (coarse-then-exact + early-exit) instead of the exact four-design
-	// pipeline — same argmin and exact winner, lower-bound losers marked
-	// in the trace, roughly the speedup of
-	// sim.BenchmarkSimulateAllPrunedSteadyState over the exact tier. Only
-	// meaningful with FastPath.
-	PrunedVerify bool
 	// Placement enables bitstream-aware device selection: each request's
 	// predicted winner is computed before acquisition and the placement
 	// cost model picks the idle device on which serving it is cheapest —
@@ -113,11 +106,6 @@ type Config struct {
 	// trace collector's per-design EWMA. Trace capture is enabled
 	// automatically when the rebalancer needs it.
 	RebalanceInterval time.Duration
-	// DisableBinary turns off the binary wire format on the analyze
-	// endpoints: requests with Content-Type application/x-misam-csr are
-	// rejected with 415 instead of decoded. The zero value accepts both
-	// formats.
-	DisableBinary bool
 	// Cluster, when its Self field is set, joins this server to a
 	// fingerprint-sharded cluster: analyze requests are routed to the
 	// member owning their content key, and model promotions/rollbacks
@@ -244,7 +232,6 @@ func NewClustered(fw *misam.Framework, cfg Config) (*Server, error) {
 		fw.WithFastPath(misam.FastPathConfig{
 			Confidence:   cfg.Confidence,
 			VerifySample: cfg.VerifySample,
-			PrunedVerify: cfg.PrunedVerify,
 		})
 	}
 	if cfg.Placement && cfg.RebalanceInterval > 0 {
@@ -753,11 +740,7 @@ func (s *Server) handleAnalyzeBatch(w http.ResponseWriter, r *http.Request) { s.
 // the decode step turns the body into items, then each item is routed to
 // its owner or served here.
 func (s *Server) analyze(w http.ResponseWriter, r *http.Request, batch bool) {
-	ctype, herr := s.contentType(r)
-	if herr != nil {
-		writeErr(w, herr.status, herr.err)
-		return
-	}
+	ctype := contentType(r)
 	// The raw body is read (not streamed into a decoder) because a
 	// cluster deployment may proxy it to the owner node byte for byte.
 	body, herr := s.readBody(w, r)

@@ -115,7 +115,7 @@ func (c Config) PEs() int { return c.PEG * c.PEsPerPEG }
 // model: every channel count, group size, SIMD width, coalescing factor
 // and the clock feed divisions, so a zero (e.g. a hand-built Config that
 // forgot common()'s constants) must fail loudly instead of producing
-// quietly wrong cycle counts. Simulate validates before running; ceilDiv64
+// quietly wrong cycle counts. Every simulation validates first; ceilDiv64
 // panics as a backstop for paths that skip it.
 func (c Config) Validate() error {
 	for _, f := range []struct {

@@ -171,6 +171,7 @@ func BuildHostSchedule(cfg Config, a, b *sparse.CSR) (*HostSchedule, error) {
 	}
 
 	h := &HostSchedule{Design: cfg.ID}
+	var sc schedScratch
 	for t, span := range tiles {
 		ts := TileSchedule{Span: span, ANNZ: len(perTile[t])}
 		ts.BNNZ = b.RowPtr[span.Hi] - b.RowPtr[span.Lo]
@@ -185,10 +186,15 @@ func BuildHostSchedule(cfg Config, a, b *sparse.CSR) (*HostSchedule, error) {
 		}
 		h.HostOps += int64(len(perTile[t]))
 
-		// Pointer lists per PEG.
-		for p, group := range splitByPEG(perTile[t], cfg.PEG, cfg.SchedulerA) {
-			pl := PEGPointerList{PEG: p, TotalElements: len(group)}
-			remaining := len(group)
+		// Pointer lists per PEG, from the tile engine's per-(PEG, PE)
+		// queues grouped by PEG.
+		queues := sc.scatterTile(perTile[t], cfg.PEG, cfg.PEsPerPEG, cfg.SchedulerA)
+		for p := 0; p < cfg.PEG; p++ {
+			pl := PEGPointerList{PEG: p}
+			for _, q := range queues[p*cfg.PEsPerPEG : (p+1)*cfg.PEsPerPEG] {
+				pl.TotalElements += len(q)
+			}
+			remaining := pl.TotalElements
 			for remaining > 0 {
 				n := cfg.PEsPerPEG
 				if remaining < n {

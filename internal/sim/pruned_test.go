@@ -9,18 +9,14 @@ import (
 	"misam/internal/sparse"
 )
 
-// prunedOptionSets are the exactness-claiming evaluation modes: every one
-// must preserve the argmin and the winner's exact Result.
-var prunedOptionSets = []struct {
-	name string
-	opt  Options
-}{
-	{"early-exit", Options{EarlyExit: true}},
-	{"coarse", Options{Coarse: true}},
-	{"coarse+early-exit", PruneOptions()},
+// simModes are the two ways to evaluate every design on one Workload:
+// exact, and the pruned tier.
+var simModes = []func(*Workload, context.Context) ([NumDesigns]Result, error){
+	(*Workload).SimulateAllCtx,
+	(*Workload).SimulateAllPrunedCtx,
 }
 
-// checkPrunedEquivalence asserts the SimulateAllOpts contract against the
+// checkPrunedEquivalence asserts the SimulateAllPrunedCtx contract against the
 // serial reference: same argmin, bit-identical winner Result, bit-identical
 // non-pruned losers, and pruned losers that (a) are marked, (b) carry a
 // valid lower bound, and (c) report strictly worse Seconds than the winner
@@ -54,10 +50,10 @@ func checkPrunedEquivalence(t *testing.T, name string, serial, pruned [NumDesign
 	}
 }
 
-// TestSimulateAllOptsMatchesSerial is the early-exit/coarse correctness
-// property over the generator-family pairs: every pruning mode, on both
-// the sequential and the forced-parallel engine, preserves the argmin and
-// the winner's exact Result bit for bit.
+// TestSimulateAllOptsMatchesSerial is the pruned tier's correctness
+// property over the generator-family pairs: on both the sequential and the
+// forced-parallel tile engine, coarse ranking plus early exit preserves
+// the argmin and the winner's exact Result bit for bit.
 func TestSimulateAllOptsMatchesSerial(t *testing.T) {
 	old := numTileWorkers
 	defer func() { numTileWorkers = old }()
@@ -66,33 +62,19 @@ func TestSimulateAllOptsMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: serial: %v", tc.name, err)
 		}
-		for _, os := range prunedOptionSets {
-			for _, workers := range []int{1, 4} {
-				numTileWorkers = func() int { return workers }
-				w, err := NewWorkload(tc.a, tc.b)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := w.SimulateAllOpts(context.Background(), os.opt)
-				if err != nil {
-					t.Fatalf("%s/%s (workers=%d): %v", tc.name, os.name, workers, err)
-				}
-				checkPrunedEquivalence(t, tc.name+"/"+os.name, serial, got)
+		for _, workers := range []int{1, 4} {
+			numTileWorkers = func() int { return workers }
+			w, err := NewWorkload(tc.a, tc.b)
+			if err != nil {
+				t.Fatal(err)
 			}
-			numTileWorkers = old
+			got, err := w.SimulateAllPrunedCtx(context.Background())
+			if err != nil {
+				t.Fatalf("%s (workers=%d): %v", tc.name, workers, err)
+			}
+			checkPrunedEquivalence(t, tc.name, serial, got)
 		}
-	}
-	// The package-level convenience wrapper must satisfy the same contract.
-	for _, tc := range equivalencePairs(t) {
-		serial, err := SimulateAllSerial(tc.a, tc.b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := SimulateAllPruned(tc.a, tc.b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkPrunedEquivalence(t, tc.name+"/wrapper", serial, got)
+		numTileWorkers = old
 	}
 }
 
@@ -120,17 +102,15 @@ func TestSimulateAllOptsRandomPairs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, os := range prunedOptionSets {
-			w, err := NewWorkload(a, b)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := w.SimulateAllOpts(context.Background(), os.opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			checkPrunedEquivalence(t, os.name, serial, got)
+		w, err := NewWorkload(a, b)
+		if err != nil {
+			t.Fatal(err)
 		}
+		got, err := w.SimulateAllPrunedCtx(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkPrunedEquivalence(t, "random", serial, got)
 	}
 }
 
@@ -152,7 +132,11 @@ func FuzzSimulateAllPruned(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pruned, err := SimulateAllPruned(a, b)
+		w, err := NewWorkload(a, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pruned, err := w.SimulateAllPrunedCtx(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -170,7 +154,7 @@ func TestCoarseBoundIsLowerBound(t *testing.T) {
 		}
 		for _, id := range AllDesigns {
 			cfg := GetConfig(id)
-			exact, err := w.Simulate(cfg)
+			exact, err := w.SimulateCtx(context.Background(), cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -185,10 +169,12 @@ func TestCoarseBoundIsLowerBound(t *testing.T) {
 	}
 }
 
-// TestEarlyExitRacingBound drives the shared racing bound with the design
-// fan-out and tile pool forced on, concurrently from several goroutines on
-// one shared Workload — under `go test -race` (ci.sh runs this by name)
-// this is the data-race proof for the early-exit path.
+// TestEarlyExitRacingBound runs the exact and the pruned mode
+// concurrently from several goroutines on one shared Workload with the
+// tile pool forced on, so the early-exit bound races the tile workers of
+// each design and the pooled bounds, scratches and caches are shared
+// between callers. Under `go test -race` (ci.sh runs this by name) this
+// is the data-race proof for the early-exit path.
 func TestEarlyExitRacingBound(t *testing.T) {
 	old := numTileWorkers
 	numTileWorkers = func() int { return 4 }
@@ -207,40 +193,16 @@ func TestEarlyExitRacingBound(t *testing.T) {
 	}
 	var wg sync.WaitGroup
 	for i := 0; i < 6; i++ {
-		opt := prunedOptionSets[i%len(prunedOptionSets)].opt
 		wg.Add(1)
-		go func(opt Options) {
+		go func(run func(*Workload, context.Context) ([NumDesigns]Result, error)) {
 			defer wg.Done()
-			got, err := shared.SimulateAllOpts(context.Background(), opt)
+			got, err := run(shared, context.Background())
 			if err != nil {
 				t.Error(err)
 				return
 			}
 			checkPrunedEquivalence(t, "racing", serial, got)
-		}(opt)
+		}(simModes[i%len(simModes)])
 	}
 	wg.Wait()
-}
-
-// TestSimulateAllOptsZeroValueIsExact pins that the zero Options value is
-// the plain exact path, pruning nothing.
-func TestSimulateAllOptsZeroValueIsExact(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	a := sparse.Uniform(rng, 300, 300, 0.02)
-	b := sparse.DenseRandom(rng, 300, 32)
-	w, err := NewWorkload(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	exact, err := w.SimulateAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := w.SimulateAllOpts(context.Background(), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != exact {
-		t.Errorf("zero Options diverged from SimulateAll:\nexact: %+v\ngot:   %+v", exact, got)
-	}
 }

@@ -35,7 +35,7 @@ type PESchedule struct {
 }
 
 // schedScratch owns every reusable buffer of the per-tile simulation path
-// (simulateTile → splitByPEGScratch → schedulePEGAgg → schedulePEScratch).
+// (simulateTile → scatterTile → schedulePEScratch → mergeCyclesScratch).
 // Tiles on a worker run sequentially, so one scratch per worker serves
 // every PEG and tile that worker touches; the steady state allocates
 // nothing. The zero value is ready to use.
@@ -55,16 +55,14 @@ type schedScratch struct {
 	// schedulePEScratch size the row table without scanning the queue for
 	// its max row first.
 	rowsHint int
-	// queueCounts/queueBuf/queues back fillQueues' per-PE partition of a
+	// queueCounts/queueBuf/queues back scatterTile's per-(PEG, PE)
+	// partition of a tile's elements.
 	// PEG's elements.
 	queueCounts []int
 	queueBuf    []Elem
 	queues      [][]Elem
-	// pegCounts/pegBuf/pegGroups back splitByPEGScratch; pegCounts doubles
-	// as scatterTile's per-PEG round-robin counters.
+	// pegCounts holds scatterTile's per-PEG round-robin counters.
 	pegCounts []int
-	pegBuf    []Elem
-	pegGroups [][]Elem
 	// elemQueue holds scatterTile's per-element queue index between its
 	// counting and fill passes, so the assignment arithmetic runs once.
 	elemQueue []int32
@@ -376,97 +374,20 @@ type PEGSchedule struct {
 	PEs      []PESchedule
 }
 
-// fillQueues partitions elems (already in traversal order) into numPEs
-// per-PE queues using the design's assignment rule, backed entirely by
-// the scratch buffers. A counting pass sizes every queue exactly, so the
-// fill pass never reallocates and queue order matches the historical
-// append-based round-robin bit for bit.
-func (sc *schedScratch) fillQueues(elems []Elem, numPEs int, traversal Traversal, colStride int) [][]Elem {
-	if cap(sc.queueCounts) < numPEs {
-		sc.queueCounts = make([]int, numPEs)
-	} else {
-		sc.queueCounts = sc.queueCounts[:numPEs]
-		clear(sc.queueCounts)
-	}
-	counts := sc.queueCounts
-	if traversal == RowWise {
-		// Design 3: "elements are assigned to PEs based on the column
-		// index modulo the PE count (column_num%PE)" (§3.2.3).
-		for i := range elems {
-			counts[(elems[i].Col/colStride)%numPEs]++
-		}
-	} else {
-		// Round-robin in traversal order (§3.2.1).
-		for i := range elems {
-			counts[i%numPEs]++
-		}
-	}
-	if cap(sc.queueBuf) < len(elems) {
-		sc.queueBuf = make([]Elem, len(elems))
-	}
-	buf := sc.queueBuf[:len(elems)]
-	if cap(sc.queues) < numPEs {
-		sc.queues = make([][]Elem, numPEs)
-	}
-	queues := sc.queues[:numPEs]
-	off := 0
-	for p := 0; p < numPEs; p++ {
-		queues[p] = buf[off : off : off+counts[p]]
-		off += counts[p]
-	}
-	if traversal == RowWise {
-		for i := range elems {
-			p := (elems[i].Col / colStride) % numPEs
-			queues[p] = append(queues[p], elems[i])
-		}
-	} else {
-		for i := range elems {
-			queues[i%numPEs] = append(queues[i%numPEs], elems[i])
-		}
-	}
-	return queues
-}
-
-// schedulePEG distributes elems (already in traversal order) to numPEs
-// queues using the design's assignment rule, schedules each PE, and
-// reports the group makespan (the PEG finishes when its slowest PE does,
-// §3.2.1). For RowWise designs the column-modulo rule of §3.2.3 is
-// applied hierarchically: the PEG level consumed col % PEGs, so within
-// the group the PE index is (col / colStride) % numPEs; direct callers
-// use colStride 1 for the flat column_num%PE rule.
-func schedulePEG(elems []Elem, numPEs int, traversal Traversal, colStride int, depGap int64, window int, trace bool) PEGSchedule {
-	if colStride < 1 {
-		colStride = 1
-	}
-	var sc schedScratch
-	queues := sc.fillQueues(elems, numPEs, traversal, colStride)
-	g := PEGSchedule{PEs: make([]PESchedule, numPEs)}
-	for p, q := range queues {
-		ps := schedulePEScratch(q, depGap, window, trace, &sc)
-		g.PEs[p] = ps
-		g.Busy += ps.Busy
-		g.Bubbles += ps.Bubbles
-		if ps.Makespan > g.Makespan {
-			g.Makespan = ps.Makespan
-		}
-	}
-	g.Capacity = int64(numPEs) * g.Makespan
-	return g
-}
-
-// scatterTile partitions a tile's elements directly into per-(PEG, PE)
-// queues with one counting pass and one fill pass, fusing splitByPEG with
-// each group's fillQueues. Queue p*numPEs+e holds PEG p, PE e in traversal
-// order; contents and order are bit-identical to running splitByPEGScratch
-// followed by fillQueues per group — the fused form just skips the
-// intermediate per-PEG copy and its second counting pass.
+// scatterTile is the one element→queue assignment of the simulator: it
+// partitions a tile's elements into per-(PEG, PE) queues with one counting
+// pass and one fill pass. Queue p*numPEs+e holds PEG p, PE e in traversal
+// order; the tile engine schedules the queues directly, and ScheduleA and
+// BuildHostSchedule group them by PEG.
 //
-// The assignment rules mirror splitByPEG and fillQueues exactly: RowWise
-// pins col%pegs to the PEG and (col/pegs)%numPEs within it (the
-// hierarchical §3.2.3 rule with colStride = pegs); ColWise pins row%pegs
-// to the PEG and round-robins within the group's stream order, which a
-// per-PEG running element counter reproduces because PEG groups preserve
-// traversal order.
+// Column-wise designs pin output rows to PEGs (row % PEGs), matching
+// §3.2.1's partitioning of A across PEG FIFOs, and round-robin each PEG's
+// elements over its PEs in traversal order. Design 3's row-wise
+// scheduling instead pins columns (col % PEGs): a single heavy row then
+// spreads over the whole accelerator, which is exactly how it "better
+// accommodates irregular sparsity patterns" (§3.2.3) — at the price of a
+// cross-PEG merge of partial C rows (mergeCycles). Within the PEG the PE
+// is (col / PEGs) % PEs, the "column_num%PE" rule applied hierarchically.
 func (sc *schedScratch) scatterTile(elems []Elem, pegs, numPEs int, traversal Traversal) [][]Elem {
 	nq := pegs * numPEs
 	if cap(sc.queueCounts) < nq {
@@ -514,13 +435,7 @@ func (sc *schedScratch) scatterTile(elems []Elem, pegs, numPEs int, traversal Tr
 	case traversal != RowWise && pePow2:
 		// ColWise round-robins within each PEG's stream order; rr[p] is
 		// PEG p's running element count.
-		if cap(sc.pegCounts) < pegs {
-			sc.pegCounts = make([]int, pegs)
-		} else {
-			sc.pegCounts = sc.pegCounts[:pegs]
-			clear(sc.pegCounts)
-		}
-		rr := sc.pegCounts
+		rr := sc.pegCursors(pegs)
 		if pegs&(pegs-1) == 0 {
 			pMask := pegs - 1
 			for i := range elems {
@@ -542,13 +457,7 @@ func (sc *schedScratch) scatterTile(elems []Elem, pegs, numPEs int, traversal Tr
 			}
 		}
 	default:
-		if cap(sc.pegCounts) < pegs {
-			sc.pegCounts = make([]int, pegs)
-		} else {
-			sc.pegCounts = sc.pegCounts[:pegs]
-			clear(sc.pegCounts)
-		}
-		rr := sc.pegCounts
+		rr := sc.pegCursors(pegs)
 		for i := range elems {
 			var q int32
 			if traversal == RowWise {
@@ -590,22 +499,13 @@ func (sc *schedScratch) scatterTile(elems []Elem, pegs, numPEs int, traversal Tr
 	return queues
 }
 
-// schedulePEGAgg is the allocation-free hot-path form of schedulePEG: it
-// returns only the aggregates the tile cost model consumes (total busy,
-// total bubbles, group makespan) and never materializes PESchedule
-// slices. Quantities are bit-identical to schedulePEG's.
-func schedulePEGAgg(elems []Elem, numPEs int, traversal Traversal, colStride int, depGap int64, window int, sc *schedScratch) (busy, bubbles, makespan int64) {
-	if colStride < 1 {
-		colStride = 1
+// pegCursors returns pegs zeroed per-PEG round-robin counters.
+func (sc *schedScratch) pegCursors(pegs int) []int {
+	if cap(sc.pegCounts) < pegs {
+		sc.pegCounts = make([]int, pegs)
+	} else {
+		sc.pegCounts = sc.pegCounts[:pegs]
+		clear(sc.pegCounts)
 	}
-	queues := sc.fillQueues(elems, numPEs, traversal, colStride)
-	for _, q := range queues {
-		ps := schedulePEScratch(q, depGap, window, false, sc)
-		busy += ps.Busy
-		bubbles += ps.Bubbles
-		if ps.Makespan > makespan {
-			makespan = ps.Makespan
-		}
-	}
-	return busy, bubbles, makespan
+	return sc.pegCounts
 }

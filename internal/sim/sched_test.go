@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -172,12 +173,18 @@ func TestPropertyWiderWindowNeverSlower(t *testing.T) {
 }
 
 func TestSchedulePEGRoundRobin(t *testing.T) {
-	// 4 elements, 2 PEs, column-wise: elements 0,2 on PE0; 1,3 on PE1.
-	elems := elemsFromRows(0, 1, 2, 3)
-	g := schedulePEG(elems, 2, ColWise, 1, 2, 16, true)
-	if len(g.PEs[0].Issues) != 2 || len(g.PEs[1].Issues) != 2 {
-		t.Fatalf("round robin split = %d/%d, want 2/2",
-			len(g.PEs[0].Issues), len(g.PEs[1].Issues))
+	// Column-wise over 2 PEs: A's diagonal streams rows 0,1,2,3, so
+	// rows 0,2 land on PE0 and 1,3 on PE1.
+	groups := ScheduleA(sparse.Identity(4), ScheduleOptions{PEGs: 1, PEsPerPEG: 2, Traversal: ColWise, DepGap: 2, Window: 16, Trace: true})
+	g := groups[0]
+	for pe, want := range [][]int{{0, 2}, {1, 3}} {
+		var rows []int
+		for _, is := range g.PEs[pe].Issues {
+			rows = append(rows, is.Elem.Row)
+		}
+		if !slices.Equal(rows, want) {
+			t.Errorf("PE%d got rows %v, want %v", pe, rows, want)
+		}
 	}
 	if g.Makespan != 2 {
 		t.Errorf("makespan %d, want 2", g.Makespan)
@@ -188,21 +195,91 @@ func TestSchedulePEGRoundRobin(t *testing.T) {
 }
 
 func TestSchedulePEGRowWiseUsesColumnModulo(t *testing.T) {
-	elems := []Elem{
-		{Row: 0, Col: 0, Service: 1},
-		{Row: 0, Col: 1, Service: 1},
-		{Row: 0, Col: 2, Service: 1},
-		{Row: 0, Col: 3, Service: 1},
+	// One row over 8 columns, 2 PEGs × 2 PEs, row-wise: the PEG is
+	// col % 2 and, within it, the PE is (col / 2) % 2 (§3.2.3).
+	row := sparse.NewCOO(1, 8)
+	for c := 0; c < 8; c++ {
+		row.Append(0, c, 1)
 	}
-	g := schedulePEG(elems, 2, RowWise, 1, 2, 16, true)
-	for _, is := range g.PEs[0].Issues {
-		if is.Elem.Col%2 != 0 {
-			t.Errorf("PE0 got column %d, want even columns", is.Elem.Col)
+	row.Normalize()
+	groups := ScheduleA(row.ToCSR(), ScheduleOptions{PEGs: 2, PEsPerPEG: 2, Traversal: RowWise, DepGap: 2, Window: 16, Trace: true})
+	want := [2][2][]int{{{0, 4}, {2, 6}}, {{1, 5}, {3, 7}}}
+	for p := range want {
+		for pe := range want[p] {
+			var cols []int
+			for _, is := range groups[p].PEs[pe].Issues {
+				cols = append(cols, is.Elem.Col)
+			}
+			if !slices.Equal(cols, want[p][pe]) {
+				t.Errorf("PEG%d.PE%d got columns %v, want %v", p, pe, cols, want[p][pe])
+			}
 		}
 	}
-	for _, is := range g.PEs[1].Issues {
-		if is.Elem.Col%2 != 1 {
-			t.Errorf("PE1 got column %d, want odd columns", is.Elem.Col)
+}
+
+// TestScatterTileMatchesNaiveRule checks every arithmetic branch of
+// scatterTile against the assignment rule written plainly: row-wise
+// designs put an element on PEG col%PEGs and, within it, PE
+// (col/PEGs)%PEs; column-wise designs put it on PEG row%PEGs and
+// round-robin each PEG's elements over its PEs in stream order. One
+// scratch serves every case, so buffer reuse across shapes is covered too.
+func TestScatterTileMatchesNaiveRule(t *testing.T) {
+	naive := func(elems []Elem, pegs, pes int, trav Traversal) [][]Elem {
+		queues := make([][]Elem, pegs*pes)
+		rr := make([]int, pegs)
+		for _, e := range elems {
+			var p, pe int
+			if trav == RowWise {
+				p, pe = e.Col%pegs, (e.Col/pegs)%pes
+			} else {
+				p, pe = e.Row%pegs, rr[e.Row%pegs]%pes
+				rr[p]++
+			}
+			queues[p*pes+pe] = append(queues[p*pes+pe], e)
+		}
+		return queues
+	}
+	cases := []struct {
+		name      string
+		pegs, pes int
+		trav      Traversal
+	}{
+		{"row-wise pow2 shift/mask (Design 4)", 16, 8, RowWise},
+		{"row-wise pow2, one PE", 8, 1, RowWise},
+		{"row-wise Lemire 24 PEGs (Design 3)", 24, 8, RowWise},
+		{"col-wise pow2 PEGs (Design 1)", 16, 8, ColWise},
+		{"col-wise Lemire 24 PEGs (Design 2)", 24, 8, ColWise},
+		{"col-wise one PEG", 1, 2, ColWise},
+		{"row-wise % fallback (3 PEs)", 5, 3, RowWise},
+		{"col-wise % fallback (3 PEs)", 4, 3, ColWise},
+		{"col-wise % fallback (6 PEs, 24 PEGs)", 24, 6, ColWise},
+	}
+	rng := rand.New(rand.NewSource(470))
+	var sc schedScratch
+	for pass := 0; pass < 2; pass++ {
+		for _, tc := range cases {
+			n := 1 + rng.Intn(3000)
+			elems := make([]Elem, n)
+			for i := range elems {
+				// Indices span well past the PEG counts and up to 2^24, the
+				// A-word format's limit, to exercise the reciprocals.
+				elems[i] = Elem{Row: rng.Intn(1 << 24), Col: rng.Intn(1 << 24), Service: int64(1 + rng.Intn(4))}
+				if i%3 == 0 {
+					elems[i].Row, elems[i].Col = rng.Intn(64), rng.Intn(64)
+				}
+			}
+			want := naive(elems, tc.pegs, tc.pes, tc.trav)
+			got := sc.scatterTile(elems, tc.pegs, tc.pes, tc.trav)
+			if len(got) != len(want) {
+				t.Fatalf("%s: %d queues, want %d", tc.name, len(got), len(want))
+			}
+			for q := range want {
+				if !slices.Equal(got[q], want[q]) {
+					t.Errorf("%s (pass %d): queue %d (PEG %d, PE %d) = %d elements, naive rule %d",
+						tc.name, pass, q, q/tc.pes, q%tc.pes, len(got[q]), len(want[q]))
+					break
+				}
+			}
 		}
 	}
 }

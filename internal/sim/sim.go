@@ -40,8 +40,8 @@ type Result struct {
 	// early-exit bound or skipped by the coarse analytic ranking. Cycles
 	// and Seconds then hold a lower bound that is already provably worse
 	// than the winning design's exact total; the breakdown fields are
-	// zero. The winner of a pruned SimulateAll is never pruned — its
-	// Result is bit-identical to the exact path (see SimulateAllOpts).
+	// zero. The winner of SimulateAllPrunedCtx is never pruned — its
+	// Result is bit-identical to the exact path.
 	Pruned bool
 }
 
@@ -53,55 +53,6 @@ func (r Result) Throughput() float64 {
 	return 2 * float64(r.Flops) / r.Seconds / 1e9
 }
 
-// Simulate runs design cfg on the product A×B and returns the cycle-level
-// result. A and B are CSR; B's storage format (dense stream vs 64-bit COO)
-// follows cfg.CompressedB.
-//
-// Simulate is a compatibility wrapper over the Workload precompute API: it
-// builds a single-use Workload and discards it. Callers evaluating several
-// designs (or configs) on one pair should build the Workload once with
-// NewWorkload and reuse it — see SimulateAll.
-func Simulate(cfg Config, a, b *sparse.CSR) (Result, error) {
-	w, err := NewWorkload(a, b)
-	if err != nil {
-		return Result{}, err
-	}
-	return w.Simulate(cfg)
-}
-
-// SimulateDesign is shorthand for Simulate(GetConfig(id), a, b).
-func SimulateDesign(id DesignID, a, b *sparse.CSR) (Result, error) {
-	return Simulate(GetConfig(id), a, b)
-}
-
-// SimulateAll runs every design on the workload and returns the results
-// indexed by DesignID. The designs share one Workload precompute (CSC
-// form, B row counts, tilings, element bins) and run concurrently;
-// results are bit-identical to the serial per-design path (see
-// SimulateAllSerial and the equivalence tests).
-func SimulateAll(a, b *sparse.CSR) ([NumDesigns]Result, error) {
-	w, err := NewWorkload(a, b)
-	if err != nil {
-		var out [NumDesigns]Result
-		return out, err
-	}
-	return w.SimulateAll()
-}
-
-// SimulateAllPruned runs every design with coarse-then-exact pruning and
-// early exit (see Workload.SimulateAllOpts): the returned winner and its
-// Result are bit-identical to SimulateAll's, but losers may carry only a
-// pruned lower bound. Single-shot "which design wins?" callers — the
-// background verifier, the dataset labeller — should prefer this.
-func SimulateAllPruned(a, b *sparse.CSR) ([NumDesigns]Result, error) {
-	w, err := NewWorkload(a, b)
-	if err != nil {
-		var out [NumDesigns]Result
-		return out, err
-	}
-	return w.SimulateAllPruned()
-}
-
 // BestDesign returns the design with the lowest simulated latency.
 func BestDesign(results [NumDesigns]Result) DesignID {
 	best := Design1
@@ -111,65 +62,6 @@ func BestDesign(results [NumDesigns]Result) DesignID {
 		}
 	}
 	return best
-}
-
-// splitByPEG partitions elements across processing element groups,
-// preserving traversal order within each group. Column-wise designs pin
-// output rows to PEGs (row % PEGs), matching §3.2.1's partitioning of A
-// across PEG FIFOs. Design 3's row-wise scheduling instead pins columns
-// (col % PEGs): a single heavy row then spreads over the whole
-// accelerator, which is exactly how it "better accommodates irregular
-// sparsity patterns" (§3.2.3) — at the price of a cross-PEG merge of
-// partial C rows (mergeCycles). A counting pass sizes every bucket
-// exactly, so the fill pass never reallocates; all buckets share one
-// backing array.
-func splitByPEG(elems []Elem, pegs int, traversal Traversal) [][]Elem {
-	return splitByPEGScratch(elems, pegs, traversal, &schedScratch{})
-}
-
-// splitByPEGScratch is splitByPEG backed by the worker's scratch buffers;
-// the returned groups alias sc.pegBuf and stay valid until the next call
-// on the same scratch.
-func splitByPEGScratch(elems []Elem, pegs int, traversal Traversal, sc *schedScratch) [][]Elem {
-	if cap(sc.pegCounts) < pegs {
-		sc.pegCounts = make([]int, pegs)
-	} else {
-		sc.pegCounts = sc.pegCounts[:pegs]
-		clear(sc.pegCounts)
-	}
-	counts := sc.pegCounts
-	if traversal == RowWise {
-		for i := range elems {
-			counts[elems[i].Col%pegs]++
-		}
-	} else {
-		for i := range elems {
-			counts[elems[i].Row%pegs]++
-		}
-	}
-	if cap(sc.pegBuf) < len(elems) {
-		sc.pegBuf = make([]Elem, len(elems))
-	}
-	buf := sc.pegBuf[:len(elems)]
-	if cap(sc.pegGroups) < pegs {
-		sc.pegGroups = make([][]Elem, pegs)
-	}
-	out := sc.pegGroups[:pegs]
-	off := 0
-	for p := range out {
-		out[p] = buf[off : off : off+counts[p]]
-		off += counts[p]
-	}
-	for i := range elems {
-		var p int
-		if traversal == RowWise {
-			p = elems[i].Col % pegs
-		} else {
-			p = elems[i].Row % pegs
-		}
-		out[p] = append(out[p], elems[i])
-	}
-	return out
 }
 
 // mergeCycles charges Design 3's reduction of per-PEG partial C rows:
@@ -349,10 +241,22 @@ func ScheduleA(a *sparse.CSR, opt ScheduleOptions) []PEGSchedule {
 	} else {
 		perTile = binByTileRowWise(a, tiles, svc)
 	}
-	groups := splitByPEG(perTile[0], opt.PEGs, opt.Traversal)
+	// Group the tile engine's per-(PEG, PE) queues by PEG; each group
+	// finishes when its slowest PE does (§3.2.1).
+	var sc schedScratch
+	queues := sc.scatterTile(perTile[0], opt.PEGs, opt.PEsPerPEG, opt.Traversal)
 	out := make([]PEGSchedule, opt.PEGs)
-	for p, g := range groups {
-		out[p] = schedulePEG(g, opt.PEsPerPEG, opt.Traversal, opt.PEGs, opt.DepGap, opt.Window, opt.Trace)
+	for p := range out {
+		g := PEGSchedule{PEs: make([]PESchedule, opt.PEsPerPEG)}
+		for e, q := range queues[p*opt.PEsPerPEG : (p+1)*opt.PEsPerPEG] {
+			ps := schedulePEScratch(q, opt.DepGap, opt.Window, opt.Trace, &sc)
+			g.PEs[e] = ps
+			g.Busy += ps.Busy
+			g.Bubbles += ps.Bubbles
+			g.Makespan = max(g.Makespan, ps.Makespan)
+		}
+		g.Capacity = int64(opt.PEsPerPEG) * g.Makespan
+		out[p] = g
 	}
 	return out
 }

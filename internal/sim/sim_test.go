@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -8,6 +9,24 @@ import (
 	"misam/internal/sparse"
 	"misam/internal/spgemm"
 )
+
+// simulateDesign runs one design on a fresh workload of A×B.
+func simulateDesign(id DesignID, a, b *sparse.CSR) (Result, error) {
+	w, err := NewWorkload(a, b)
+	if err != nil {
+		return Result{}, err
+	}
+	return w.SimulateCtx(context.Background(), GetConfig(id))
+}
+
+// simulateAll runs every design exactly on a fresh workload of A×B.
+func simulateAll(a, b *sparse.CSR) ([NumDesigns]Result, error) {
+	w, err := NewWorkload(a, b)
+	if err != nil {
+		return [NumDesigns]Result{}, err
+	}
+	return w.SimulateAllCtx(context.Background())
+}
 
 func TestConfigsMatchTable1(t *testing.T) {
 	cfgs := Configs()
@@ -58,7 +77,7 @@ func TestSharedBitstream(t *testing.T) {
 func TestSimulateDimensionMismatch(t *testing.T) {
 	a := sparse.Identity(4)
 	b := sparse.Identity(5)
-	if _, err := SimulateDesign(Design1, a, b); err == nil {
+	if _, err := simulateDesign(Design1, a, b); err == nil {
 		t.Fatal("expected dimension mismatch error")
 	}
 }
@@ -68,7 +87,7 @@ func TestSimulateBasicSanity(t *testing.T) {
 	a := sparse.Uniform(rng, 300, 300, 0.02)
 	b := sparse.DenseRandom(rng, 300, 64)
 	for _, id := range AllDesigns {
-		r, err := SimulateDesign(id, a, b)
+		r, err := simulateDesign(id, a, b)
 		if err != nil {
 			t.Fatalf("%v: %v", id, err)
 		}
@@ -90,7 +109,7 @@ func TestSimulateBasicSanity(t *testing.T) {
 func TestSimulateEmptyProduct(t *testing.T) {
 	a := sparse.NewCOO(10, 10).ToCSR()
 	b := sparse.NewCOO(10, 10).ToCSR()
-	r, err := SimulateDesign(Design4, a, b)
+	r, err := simulateDesign(Design4, a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,11 +128,11 @@ func TestDesign1BeatsDesign2OnTinySparse(t *testing.T) {
 	// cannot fill dependency bubbles and pads with zeros (§3.2.2).
 	a := sparse.Uniform(rng, 300, 300, 0.004)
 	b := sparse.DenseRandom(rng, 300, 8)
-	r1, err := SimulateDesign(Design1, a, b)
+	r1, err := simulateDesign(Design1, a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := SimulateDesign(Design2, a, b)
+	r2, err := simulateDesign(Design2, a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,11 +152,11 @@ func TestDesign2BeatsDesign1OnLargeDenser(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	a := sparse.Uniform(rng, 4000, 4000, 0.02)
 	b := sparse.DenseRandom(rng, 4000, 128)
-	r1, err := SimulateDesign(Design1, a, b)
+	r1, err := simulateDesign(Design1, a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := SimulateDesign(Design2, a, b)
+	r2, err := simulateDesign(Design2, a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,11 +173,11 @@ func TestDesign3WinsOnImbalance(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	a := sparse.Imbalanced(rng, 3000, 3000, 30000, 0.01, 0.9)
 	b := sparse.DenseRandom(rng, 3000, 32)
-	r2, err := SimulateDesign(Design2, a, b)
+	r2, err := simulateDesign(Design2, a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r3, err := SimulateDesign(Design3, a, b)
+	r3, err := simulateDesign(Design3, a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,11 +194,11 @@ func TestDesign4WinsOnHighlySparseB(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	a := sparse.Uniform(rng, 4000, 4000, 0.002)
 	bSparse := sparse.Uniform(rng, 4000, 4000, 0.0005)
-	r1, err := SimulateDesign(Design1, a, bSparse)
+	r1, err := simulateDesign(Design1, a, bSparse)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r4, err := SimulateDesign(Design4, a, bSparse)
+	r4, err := simulateDesign(Design4, a, bSparse)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,11 +209,11 @@ func TestDesign4WinsOnHighlySparseB(t *testing.T) {
 	// And the converse: for a dense B, the uncompressed designs win.
 	bDense := sparse.DenseRandom(rng, 1000, 256)
 	aSmall := sparse.Uniform(rng, 1000, 1000, 0.01)
-	d1, err := SimulateDesign(Design1, aSmall, bDense)
+	d1, err := simulateDesign(Design1, aSmall, bDense)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d4, err := SimulateDesign(Design4, aSmall, bDense)
+	d4, err := simulateDesign(Design4, aSmall, bDense)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +226,7 @@ func TestSimulateAllAndBestDesign(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	a := sparse.Uniform(rng, 500, 500, 0.01)
 	b := sparse.DenseRandom(rng, 500, 64)
-	results, err := SimulateAll(a, b)
+	results, err := simulateAll(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +244,7 @@ func TestPropertyCyclesCoverBreakdown(t *testing.T) {
 		id := AllDesigns[int(dIn)%len(AllDesigns)]
 		a := sparse.Uniform(rng, 200, 200, 0.05)
 		b := sparse.Uniform(rng, 200, 50, 0.3)
-		r, err := SimulateDesign(id, a, b)
+		r, err := simulateDesign(id, a, b)
 		if err != nil {
 			return false
 		}

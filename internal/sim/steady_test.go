@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -30,29 +31,30 @@ func TestSimulateAllSteadyStateZeroAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.SimulateAll(); err != nil {
+	ctx := context.Background()
+	if _, err := w.SimulateAllCtx(ctx); err != nil {
 		t.Fatal(err)
 	}
 	if allocs := testing.AllocsPerRun(20, func() {
-		if _, err := w.SimulateAll(); err != nil {
+		if _, err := w.SimulateAllCtx(ctx); err != nil {
 			t.Fatal(err)
 		}
 	}); allocs != 0 {
-		t.Errorf("warm SimulateAll allocates %.1f allocs/op, want 0", allocs)
+		t.Errorf("warm SimulateAllCtx allocates %.1f allocs/op, want 0", allocs)
 	}
 	if allocs := testing.AllocsPerRun(20, func() {
-		if _, err := w.SimulateAllPruned(); err != nil {
+		if _, err := w.SimulateAllPrunedCtx(ctx); err != nil {
 			t.Fatal(err)
 		}
 	}); allocs != 0 {
-		t.Errorf("warm SimulateAllPruned allocates %.1f allocs/op, want 0", allocs)
+		t.Errorf("warm SimulateAllPrunedCtx allocates %.1f allocs/op, want 0", allocs)
 	}
 	if allocs := testing.AllocsPerRun(20, func() {
-		if _, err := w.Simulate(GetConfig(Design2)); err != nil {
+		if _, err := w.SimulateCtx(ctx, GetConfig(Design2)); err != nil {
 			t.Fatal(err)
 		}
 	}); allocs != 0 {
-		t.Errorf("warm Simulate allocates %.1f allocs/op, want 0", allocs)
+		t.Errorf("warm SimulateCtx allocates %.1f allocs/op, want 0", allocs)
 	}
 }
 
@@ -70,13 +72,13 @@ func BenchmarkSimulateAllSteadyState(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := w.SimulateAll(); err != nil {
+	if _, err := w.SimulateAllCtx(context.Background()); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := w.SimulateAll(); err != nil {
+		if _, err := w.SimulateAllCtx(context.Background()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -95,13 +97,13 @@ func BenchmarkSimulateAllPrunedSteadyState(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := w.SimulateAllPruned(); err != nil {
+	if _, err := w.SimulateAllPrunedCtx(context.Background()); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := w.SimulateAllPruned(); err != nil {
+		if _, err := w.SimulateAllPrunedCtx(context.Background()); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -12,8 +12,8 @@ import (
 // TestTileMemoEquivalence is the memoization correctness property: engines
 // sharing one explicitly attached TileCache — including runs whose every
 // tile is served from another workload's entries — stay bit-identical to
-// the memo-off serial reference, across the generator families, every
-// pruning mode, and both engine branches.
+// the memo-off serial reference, across the generator families, the exact
+// and pruned modes, and both engine branches.
 func TestTileMemoEquivalence(t *testing.T) {
 	old := numTileWorkers
 	defer func() { numTileWorkers = old }()
@@ -39,21 +39,19 @@ func TestTileMemoEquivalence(t *testing.T) {
 					t.Fatalf("%s (workers=%d, pass %d): %v", tc.name, workers, pass, err)
 				}
 				if exact != serial {
-					t.Errorf("%s (workers=%d, pass %d): memoized SimulateAll diverged:\nserial: %+v\nmemo:   %+v",
+					t.Errorf("%s (workers=%d, pass %d): memoized SimulateAllCtx diverged:\nserial: %+v\nmemo:   %+v",
 						tc.name, workers, pass, serial, exact)
 				}
-				for _, os := range prunedOptionSets {
-					wp, err := NewWorkload(tc.a, tc.b)
-					if err != nil {
-						t.Fatal(err)
-					}
-					wp.AttachTileCache(shared)
-					got, err := wp.SimulateAllOpts(context.Background(), os.opt)
-					if err != nil {
-						t.Fatalf("%s/%s (workers=%d, pass %d): %v", tc.name, os.name, workers, pass, err)
-					}
-					checkPrunedEquivalence(t, tc.name+"/"+os.name+"/memo", serial, got)
+				wp, err := NewWorkload(tc.a, tc.b)
+				if err != nil {
+					t.Fatal(err)
 				}
+				wp.AttachTileCache(shared)
+				got, err := wp.SimulateAllPrunedCtx(context.Background())
+				if err != nil {
+					t.Fatalf("%s pruned (workers=%d, pass %d): %v", tc.name, workers, pass, err)
+				}
+				checkPrunedEquivalence(t, tc.name+"/memo", serial, got)
 			}
 		}
 		numTileWorkers = old
@@ -244,17 +242,16 @@ func TestTileBoundRaceHammer(t *testing.T) {
 	shared.AttachTileCache(NewTileCache(1 << 20))
 	var wg sync.WaitGroup
 	for i := 0; i < 6; i++ {
-		opt := prunedOptionSets[i%len(prunedOptionSets)].opt
 		wg.Add(1)
-		go func(opt Options) {
+		go func(run func(*Workload, context.Context) ([NumDesigns]Result, error)) {
 			defer wg.Done()
-			got, err := shared.SimulateAllOpts(context.Background(), opt)
+			got, err := run(shared, context.Background())
 			if err != nil {
 				t.Error(err)
 				return
 			}
 			checkPrunedEquivalence(t, "memo-racing", serial, got)
-		}(opt)
+		}(simModes[i%len(simModes)])
 	}
 	wg.Wait()
 }

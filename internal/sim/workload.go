@@ -20,11 +20,11 @@ import (
 // (or the same pair under several configs, as the dataset labeller and the
 // reconfiguration engine do) used to pay that cost four times over.
 // Workload computes each artifact once, on first use, and shares it across
-// every Simulate call on the same pair.
+// every simulation on the same pair.
 //
 // A Workload is safe for concurrent use: all caches are built under
 // sync.Once-style guards, and the cached artifacts are immutable once
-// published. SimulateAll relies on this to fan the four designs out over
+// published. SimulateAllCtx relies on this to fan the four designs out over
 // goroutines against one shared Workload.
 type Workload struct {
 	// A and B are the operands; they must not be mutated while the
@@ -47,7 +47,7 @@ type Workload struct {
 
 	// poolMu guards the workload-level scratch freelists. Scheduling
 	// scratches and per-call tile state are pooled here — not per
-	// Simulate call — so warm serving reuses fully grown buffers across
+	// simulation — so warm serving reuses fully grown buffers across
 	// requests and the steady state allocates nothing. Plain freelists
 	// rather than sync.Pool: the GC never clears them, which is what lets
 	// the AllocsPerRun guard pin 0 allocs/op.
@@ -61,14 +61,14 @@ type Workload struct {
 	// are shared across workloads; AttachTileCache(nil) disables
 	// memoization entirely (the serial reference path does this). When
 	// nothing was attached, a small private cache is created lazily so
-	// near-duplicate tiles inside one workload — and repeated Simulate
+	// near-duplicate tiles inside one workload — and repeated simulation
 	// calls on it — still reuse schedules.
 	tcExplicit bool
 	tcAttached *TileCache
 	tcPrivate  *TileCache
 }
 
-// tileRun is the pooled per-Simulate-call state: the tile outcome buffer
+// tileRun is the pooled per-simulation state: the tile outcome buffer
 // plus the shared counters the tile workers race on.
 type tileRun struct {
 	outs    []tileOutcome
@@ -379,42 +379,23 @@ func (w *Workload) serviceFunc(cfg Config) func(col int) int64 {
 	return func(int) int64 { return dense }
 }
 
-// Simulate runs design cfg against the cached workload. Results are
-// bit-identical to the historical serial Simulate(cfg, a, b) path: tiles
-// may be scheduled in parallel, but every per-tile quantity is reduced in
-// tile order and all cross-tile accumulations are exact integer sums.
-func (w *Workload) Simulate(cfg Config) (Result, error) {
-	return w.simulate(context.Background(), cfg, true)
-}
-
-// SimulateCtx is Simulate under a context: cancellation or deadline
-// expiry aborts the tile pool between tiles and returns ctx.Err().
+// SimulateCtx runs design cfg against the cached workload. Results are
+// bit-identical to the serial reference (SimulateAllSerial): tiles may be
+// scheduled in parallel, but every per-tile quantity is reduced in tile
+// order and all cross-tile accumulations are exact integer sums.
+// Cancellation or deadline expiry aborts the tile pool between tiles and
+// returns ctx.Err().
 func (w *Workload) SimulateCtx(ctx context.Context, cfg Config) (Result, error) {
-	return w.simulate(ctx, cfg, true)
+	return w.simulateBound(ctx, cfg, true, nil)
 }
 
-// SimulateDesign is shorthand for Simulate(GetConfig(id)).
-func (w *Workload) SimulateDesign(id DesignID) (Result, error) {
-	return w.Simulate(GetConfig(id))
-}
-
-// SimulateDesignCtx is SimulateCtx(ctx, GetConfig(id)).
-func (w *Workload) SimulateDesignCtx(ctx context.Context, id DesignID) (Result, error) {
-	return w.SimulateCtx(ctx, GetConfig(id))
-}
-
-// SimulateAll evaluates every design on the workload, sharing the
-// precompute and fanning the four designs out over goroutines. On error
-// the first failing design (in design order) wins. With a single
+// SimulateAllCtx evaluates every design exactly, sharing the precompute
+// and fanning the four designs out over goroutines. On error the first
+// failing design (in design order) wins; a cancelled or expired context
+// aborts all four design simulations mid-tile-pool. With a single
 // processor the fan-out buys nothing and the goroutine interleaving
 // thrashes the cache, so the designs run sequentially instead — the
 // deterministic simulator makes the two paths indistinguishable.
-func (w *Workload) SimulateAll() ([NumDesigns]Result, error) {
-	return w.SimulateAllCtx(context.Background())
-}
-
-// SimulateAllCtx is SimulateAll under a context; a cancelled or expired
-// context aborts all four design simulations mid-tile-pool.
 func (w *Workload) SimulateAllCtx(ctx context.Context) ([NumDesigns]Result, error) {
 	// The serial and parallel paths live in separate functions so the
 	// serial result array is never captured by a goroutine closure —
@@ -424,19 +405,18 @@ func (w *Workload) SimulateAllCtx(ctx context.Context) ([NumDesigns]Result, erro
 		var out [NumDesigns]Result
 		for _, id := range AllDesigns {
 			var err error
-			if out[id], err = w.simulate(ctx, GetConfig(id), true); err != nil {
+			if out[id], err = w.simulateBound(ctx, GetConfig(id), true, nil); err != nil {
 				return out, err
 			}
 		}
 		return out, nil
 	}
-	return w.simulateAllParallel(ctx, nil)
+	return w.simulateAllParallel(ctx)
 }
 
-// simulateAllParallel fans the four designs out over goroutines; bound,
-// when non-nil, is the shared racing early-exit bound each completing
-// design lowers.
-func (w *Workload) simulateAllParallel(ctx context.Context, bound *raceBound) ([NumDesigns]Result, error) {
+// simulateAllParallel fans the four exact design simulations out over
+// goroutines.
+func (w *Workload) simulateAllParallel(ctx context.Context) ([NumDesigns]Result, error) {
 	var out [NumDesigns]Result
 	var errs [NumDesigns]error
 	var wg sync.WaitGroup
@@ -444,11 +424,7 @@ func (w *Workload) simulateAllParallel(ctx context.Context, bound *raceBound) ([
 		wg.Add(1)
 		go func(id DesignID) {
 			defer wg.Done()
-			r, err := w.simulateBound(ctx, GetConfig(id), true, bound)
-			out[id], errs[id] = r, err
-			if bound != nil && err == nil && !r.Pruned {
-				bound.offer(r.Seconds)
-			}
+			out[id], errs[id] = w.simulateBound(ctx, GetConfig(id), true, nil)
 		}(id)
 	}
 	wg.Wait()
@@ -460,33 +436,10 @@ func (w *Workload) simulateAllParallel(ctx context.Context, bound *raceBound) ([
 	return out, nil
 }
 
-// Options selects the pruned evaluation modes of SimulateAllOpts. The
-// zero value is the exact path (identical to SimulateAll).
-type Options struct {
-	// EarlyExit aborts a design's tile loop once its partial cycle total
-	// (plus the exact write-back charge) is strictly worse than the best
-	// complete design seen so far. Argmin-preserving: per-tile charges
-	// are non-negative, so a design whose exact total is ≤ the bound can
-	// never trip it.
-	EarlyExit bool
-	// Coarse ranks the designs by a cheap analytic lower bound (tiling
-	// shapes + per-tile busy totals, no scheduling) before the exact
-	// pass, evaluates them most-promising first, and skips any design
-	// whose bound alone is strictly worse than a completed contender.
-	// Argmin-preserving for the same reason: the bound never exceeds the
-	// exact total.
-	Coarse bool
-}
-
-// PruneOptions enables both pruning layers — the recommended setting for
-// single-shot "which design wins?" callers.
-func PruneOptions() Options {
-	return Options{EarlyExit: true, Coarse: true}
-}
-
-// raceBound is the best-so-far complete design latency shared across the
-// design fan-out, stored as float64 bits in an atomic for lock-free
-// CAS-min updates.
+// raceBound is the best complete design latency seen so far, stored as
+// float64 bits in an atomic for lock-free CAS-min updates. The tile
+// workers of the design being simulated race on it; concurrent callers on
+// one Workload each take their own from its pool.
 type raceBound struct {
 	bits atomic.Uint64
 }
@@ -510,68 +463,27 @@ func (b *raceBound) offer(s float64) {
 	}
 }
 
-// SimulateAllPruned is SimulateAll under PruneOptions: same winner, same
-// winning Result, losers possibly reduced to pruned lower bounds.
-func (w *Workload) SimulateAllPruned() ([NumDesigns]Result, error) {
-	return w.SimulateAllOpts(context.Background(), PruneOptions())
-}
-
-// SimulateAllPrunedCtx is SimulateAllPruned under a context.
-func (w *Workload) SimulateAllPrunedCtx(ctx context.Context) ([NumDesigns]Result, error) {
-	return w.SimulateAllOpts(ctx, PruneOptions())
-}
-
-// SimulateAllOpts evaluates every design under the given pruning
-// options. Guarantees, for any Options value:
+// SimulateAllPrunedCtx evaluates every design through the pruned slow
+// tier: it ranks the designs by a cheap analytic lower bound (tiling
+// shapes + per-tile busy totals, no scheduling), evaluates them
+// most-promising first, skips any design whose bound alone is strictly
+// worse than a completed contender, and aborts a design's tile loop once
+// its running lower bound is strictly worse (early exit). Both layers are
+// argmin-preserving: per-tile charges are non-negative and the bound never
+// exceeds the exact total. Guarantees:
 //
-//   - BestDesign over the returned array equals BestDesign over the
-//     exact SimulateAll array (ties included: pruned losers report
-//     strictly worse Seconds than the winner, so design-order
-//     tie-breaking is unaffected).
+//   - BestDesign over the returned array equals BestDesign over
+//     SimulateAllCtx's (ties included: pruned losers report strictly
+//     worse Seconds than the winner, so design-order tie-breaking is
+//     unaffected).
 //   - The winner's Result — and every Result with Pruned == false — is
 //     bit-identical to the exact path.
 //   - Pruned == true marks every Result that is a lower bound rather
 //     than an exact total.
-func (w *Workload) SimulateAllOpts(ctx context.Context, opt Options) ([NumDesigns]Result, error) {
-	if !opt.EarlyExit && !opt.Coarse {
-		return w.SimulateAllCtx(ctx)
-	}
-	if opt.Coarse {
-		return w.simulateAllCoarse(ctx, opt.EarlyExit)
-	}
-	return w.simulateAllEarlyExit(ctx)
-}
-
-// simulateAllEarlyExit runs the design fan-out with a shared racing
-// best-so-far bound but no coarse ranking. With multiple processors the
-// four designs race concurrently, each lowering the bound as it
-// completes; on a single processor they run in design order.
-func (w *Workload) simulateAllEarlyExit(ctx context.Context) ([NumDesigns]Result, error) {
-	bound := w.getBound()
-	defer w.putBound(bound)
-	if numTileWorkers() <= 1 {
-		var out [NumDesigns]Result
-		for _, id := range AllDesigns {
-			r, err := w.simulateBound(ctx, GetConfig(id), true, bound)
-			if err != nil {
-				return out, err
-			}
-			out[id] = r
-			if !r.Pruned {
-				bound.offer(r.Seconds)
-			}
-		}
-		return out, nil
-	}
-	return w.simulateAllParallel(ctx, bound)
-}
-
-// simulateAllCoarse ranks the designs by their analytic lower bounds,
-// evaluates them most-promising first, and skips any design whose bound
-// alone exceeds a completed contender's total. Evaluation is sequential
-// by rank — the whole point is that later designs see the tightest
-// possible bound.
-func (w *Workload) simulateAllCoarse(ctx context.Context, earlyExit bool) ([NumDesigns]Result, error) {
+//
+// Evaluation is sequential by rank — the whole point is that later
+// designs see the tightest possible bound.
+func (w *Workload) SimulateAllPrunedCtx(ctx context.Context) ([NumDesigns]Result, error) {
 	var out [NumDesigns]Result
 	var lbCycles [NumDesigns]int64
 	var lbSeconds [NumDesigns]float64
@@ -615,11 +527,7 @@ func (w *Workload) simulateAllCoarse(ctx context.Context, earlyExit bool) ([NumD
 			}
 			continue
 		}
-		var b *raceBound
-		if earlyExit {
-			b = bound
-		}
-		r, err := w.simulateBound(ctx, GetConfig(id), true, b)
+		r, err := w.simulateBound(ctx, GetConfig(id), true, bound)
 		if err != nil {
 			return out, err
 		}
@@ -807,16 +715,13 @@ type tileOutcome struct {
 // serial — goroutine fan-out costs more than it saves on tiny workloads.
 const minParallelTiles = 4
 
-// numTileWorkers bounds the per-tile worker pool and gates SimulateAll's
-// design fan-out. It is a variable so the equivalence tests can force the
+// numTileWorkers bounds the per-tile worker pool and gates
+// SimulateAllCtx's design fan-out. It is a variable so the equivalence tests can force the
 // parallel paths on single-CPU hosts.
 var numTileWorkers = runtime.NumCPU
 
-func (w *Workload) simulate(ctx context.Context, cfg Config, parallelTiles bool) (Result, error) {
-	return w.simulateBound(ctx, cfg, parallelTiles, nil)
-}
-
-// simulateBound is simulate with an optional early-exit bound. When
+// simulateBound simulates one design, with the tile pool when
+// parallelTiles allows it, under an optional early-exit bound. When
 // bound is non-nil, the partial counter starts at the design's full
 // analytic lower bound (per-tile floors + exact write-back, see
 // coarseFloors) and each finished tile swaps its floor for its exact
@@ -1015,11 +920,8 @@ func memoTile(cfg Config, s Span, elems []Elem, tileNNZ int64, bCols int, sc *sc
 // Its result depends only on the stream content and the schedule-relevant
 // Config fields — exactly what the tile-cache key hashes.
 func scheduleTile(cfg Config, elems []Elem, sc *schedScratch) (busy, bubbles, compute int64) {
-	// One fused scatter replaces splitByPEG + per-group fillQueues. The
-	// aggregates stay bit-identical: busy and bubbles are sums over every
-	// (PEG, PE) queue either way, and the tile's compute is the max over
-	// PEG makespans, each itself a max over that group's PEs — so one flat
-	// max over all queues yields the same value.
+	// The tile's compute is the max over PEG makespans, each itself a max
+	// over that group's PEs — so one flat max over all queues.
 	for _, q := range sc.scatterTile(elems, cfg.PEG, cfg.PEsPerPEG, cfg.SchedulerA) {
 		ps := schedulePEScratch(q, cfg.DepGapCycles, cfg.WindowSize, false, sc)
 		busy += ps.Busy
@@ -1071,7 +973,7 @@ func SimulateAllSerial(a, b *sparse.CSR) ([NumDesigns]Result, error) {
 		// The reference never memoizes: every equivalence, golden and fuzz
 		// gate then compares memo-on engines against memo-off scheduling.
 		w.AttachTileCache(nil)
-		r, err := w.simulate(context.Background(), GetConfig(id), false)
+		r, err := w.simulateBound(context.Background(), GetConfig(id), false, nil)
 		if err != nil {
 			return out, err
 		}

@@ -75,7 +75,7 @@ func TestSimulateCtxAbortsMidTilePool(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		full, err := w.simulate(nil, cfg, true)
+		full, err := w.SimulateCtx(nil, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -85,7 +85,7 @@ func TestSimulateCtxAbortsMidTilePool(t *testing.T) {
 		// Allow the initial poll plus a few per-worker claims, then cancel:
 		// the pool stops mid-list.
 		ctx := &countdownCtx{Context: context.Background(), remaining: 6}
-		if _, err := w.simulate(ctx, cfg, true); err != context.Canceled {
+		if _, err := w.SimulateCtx(ctx, cfg); err != context.Canceled {
 			t.Errorf("%v: err = %v, want context.Canceled mid-pool", id, err)
 		}
 	}
@@ -101,36 +101,38 @@ func TestSimulateCtxDeadline(t *testing.T) {
 	}
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
-	if _, err := w.SimulateDesignCtx(ctx, Design1); err != context.DeadlineExceeded {
+	if _, err := w.SimulateCtx(ctx, GetConfig(Design1)); err != context.DeadlineExceeded {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
 }
 
 // TestSimulateCtxNilAndBackground: nil and Background contexts keep the
-// historical behavior — full simulation, bit-identical to Simulate.
+// historical behavior — full simulation, bit-identical to the serial
+// reference.
 func TestSimulateCtxNilAndBackground(t *testing.T) {
 	a, b := bigTilePair(t)
 	w, err := NewWorkload(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := w.Simulate(GetConfig(Design2))
+	serial, err := SimulateAllSerial(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
+	want := serial[Design2]
 	got, err := w.SimulateCtx(context.Background(), GetConfig(Design2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got != want {
-		t.Error("SimulateCtx(Background) diverged from Simulate")
+		t.Error("SimulateCtx(Background) diverged from the serial reference")
 	}
 	got2, err := w.SimulateCtx(nil, GetConfig(Design2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got2 != want {
-		t.Error("SimulateCtx(nil) diverged from Simulate")
+		t.Error("SimulateCtx(nil) diverged from the serial reference")
 	}
 }
 

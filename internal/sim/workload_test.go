@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"math/rand"
 	"sync"
 	"testing"
@@ -45,28 +46,28 @@ func TestSimulateAllMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: serial: %v", tc.name, err)
 		}
-		// Both SimulateAll branches — sequential designs (single
+		// Both SimulateAllCtx branches — sequential designs (single
 		// processor) and goroutine fan-out — must match the reference.
 		for _, workers := range []int{1, 4} {
 			numTileWorkers = func() int { return workers }
-			parallel, err := SimulateAll(tc.a, tc.b)
+			parallel, err := simulateAll(tc.a, tc.b)
 			if err != nil {
 				t.Fatalf("%s: parallel (workers=%d): %v", tc.name, workers, err)
 			}
 			if serial != parallel {
-				t.Errorf("%s (workers=%d): SimulateAll diverged from serial reference:\nserial:   %+v\nparallel: %+v",
+				t.Errorf("%s (workers=%d): SimulateAllCtx diverged from serial reference:\nserial:   %+v\nparallel: %+v",
 					tc.name, workers, serial, parallel)
 			}
 		}
 		numTileWorkers = old
-		// The compatibility wrapper must agree too (fresh workload per call).
+		// A fresh workload per design must agree too.
 		for _, id := range AllDesigns {
-			r, err := SimulateDesign(id, tc.a, tc.b)
+			r, err := simulateDesign(id, tc.a, tc.b)
 			if err != nil {
 				t.Fatalf("%s/%v: %v", tc.name, id, err)
 			}
 			if r != serial[id] {
-				t.Errorf("%s/%v: Simulate wrapper diverged from serial reference", tc.name, id)
+				t.Errorf("%s/%v: single-design simulation diverged from serial reference", tc.name, id)
 			}
 		}
 	}
@@ -95,7 +96,7 @@ func TestParallelTileLoopMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		serial, err := ws.simulate(nil, cfg, false)
+		serial, err := ws.simulateBound(nil, cfg, false, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -103,7 +104,7 @@ func TestParallelTileLoopMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		parallel, err := wp.simulate(nil, cfg, true)
+		parallel, err := wp.SimulateCtx(nil, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -116,8 +117,8 @@ func TestParallelTileLoopMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestConcurrentSimulateAllRace exercises concurrent SimulateAll calls on
-// shared *sparse.CSR inputs and concurrent Simulate calls on one shared
+// TestConcurrentSimulateAllRace exercises concurrent SimulateAllCtx calls on
+// shared *sparse.CSR inputs and concurrent SimulateCtx calls on one shared
 // Workload — run under `go test -race ./...` (ci.sh) this is the data-race
 // proof for the cache layer.
 func TestConcurrentSimulateAllRace(t *testing.T) {
@@ -129,7 +130,7 @@ func TestConcurrentSimulateAllRace(t *testing.T) {
 	a := sparse.PowerLaw(rng, 600, 600, 4200, 1.7)
 	b := sparse.Uniform(rng, 600, 128, 0.1)
 
-	want, err := SimulateAll(a, b)
+	want, err := simulateAll(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,26 +145,26 @@ func TestConcurrentSimulateAllRace(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			got, err := SimulateAll(a, b)
+			got, err := simulateAll(a, b)
 			if err != nil {
 				errc <- err
 				return
 			}
 			if got != want {
-				t.Error("concurrent SimulateAll on shared CSR diverged")
+				t.Error("concurrent SimulateAllCtx on shared CSR diverged")
 			}
 		}()
 		for _, id := range AllDesigns {
 			wg.Add(1)
 			go func(id DesignID) {
 				defer wg.Done()
-				got, err := shared.SimulateDesign(id)
+				got, err := shared.SimulateCtx(context.Background(), GetConfig(id))
 				if err != nil {
 					errc <- err
 					return
 				}
 				if got != want[id] {
-					t.Errorf("%v: concurrent Simulate on shared Workload diverged", id)
+					t.Errorf("%v: concurrent SimulateCtx on shared Workload diverged", id)
 				}
 			}(id)
 		}
@@ -192,7 +193,7 @@ func TestWorkloadPrecomputeShared(t *testing.T) {
 	if &w.BRowNNZ()[0] != &w.BRowNNZ()[0] {
 		t.Error("B row counts not cached")
 	}
-	if _, err := w.SimulateAll(); err != nil {
+	if _, err := w.SimulateAllCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	// Designs 1 and 2 share the dense column-wise binning; Design 3 (row
@@ -216,11 +217,15 @@ func TestNewWorkloadDimensionMismatch(t *testing.T) {
 
 // TestConfigValidateRejectsZeroChannels pins the satellite fix: a
 // zero-channel (or otherwise degenerate) Config must surface as an
-// explicit error from Simulate, never as quietly wrong cycle counts.
+// explicit error from SimulateCtx, never as quietly wrong cycle counts.
 func TestConfigValidateRejectsZeroChannels(t *testing.T) {
 	rng := rand.New(rand.NewSource(55))
 	a := sparse.Uniform(rng, 100, 100, 0.05)
 	b := sparse.DenseRandom(rng, 100, 16)
+	w, err := NewWorkload(a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	for _, id := range AllDesigns {
 		if err := GetConfig(id).Validate(); err != nil {
@@ -248,8 +253,8 @@ func TestConfigValidateRejectsZeroChannels(t *testing.T) {
 		if err := cfg.Validate(); err == nil {
 			t.Errorf("bad config %d passed Validate", i)
 		}
-		if _, err := Simulate(cfg, a, b); err == nil {
-			t.Errorf("bad config %d: Simulate returned no error", i)
+		if _, err := w.SimulateCtx(context.Background(), cfg); err == nil {
+			t.Errorf("bad config %d: SimulateCtx returned no error", i)
 		}
 	}
 }

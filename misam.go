@@ -699,15 +699,23 @@ func FeatureNames() []string { return features.Names() }
 
 // SimulateDesign runs the cycle simulator for one design directly.
 func SimulateDesign(id Design, a, b *Matrix) (sim.Result, error) {
-	return sim.SimulateDesign(id, a, b)
+	w, err := sim.NewWorkload(a, b)
+	if err != nil {
+		return sim.Result{}, err
+	}
+	return w.SimulateCtx(context.Background(), sim.GetConfig(id))
 }
 
 // SimulateAllDesigns runs every design on the workload. The four designs
 // share one precompute (CSC form, B row counts, tilings, element bins)
 // and run concurrently; see NewWorkload to reuse that precompute across
-// further Simulate calls.
+// further simulations.
 func SimulateAllDesigns(a, b *Matrix) ([sim.NumDesigns]sim.Result, error) {
-	return sim.SimulateAll(a, b)
+	w, err := sim.NewWorkload(a, b)
+	if err != nil {
+		return [sim.NumDesigns]sim.Result{}, err
+	}
+	return w.SimulateAllCtx(context.Background())
 }
 
 // SimulateAllDesignsPruned is SimulateAllDesigns through the pruned slow
@@ -716,7 +724,11 @@ func SimulateAllDesigns(a, b *Matrix) ([sim.NumDesigns]sim.Result, error) {
 // provably losing designs may return early with a marked lower bound
 // (Result.Pruned) instead of a full simulation.
 func SimulateAllDesignsPruned(a, b *Matrix) ([sim.NumDesigns]sim.Result, error) {
-	return sim.SimulateAllPruned(a, b)
+	w, err := sim.NewWorkload(a, b)
+	if err != nil {
+		return [sim.NumDesigns]sim.Result{}, err
+	}
+	return w.SimulateAllPrunedCtx(context.Background())
 }
 
 // Workload is the design-independent simulation precompute for one A×B

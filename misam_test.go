@@ -287,3 +287,32 @@ func TestSelectWithConfidence(t *testing.T) {
 		}
 	}
 }
+
+// TestSimulateWrappersMatchSerial: the public simulator wrappers agree
+// with the serial reference — every Result for the exact ones, the argmin
+// and the winner's Result for the pruned one.
+func TestSimulateWrappersMatchSerial(t *testing.T) {
+	a := RandPowerLaw(4, 400, 400, 2400, 1.8)
+	b := RandUniform(5, 400, 64, 0.1)
+	serial, err := sim.SimulateAllSerial(a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	all, err := SimulateAllDesigns(a, b)
+	if err != nil || all != serial {
+		t.Fatalf("SimulateAllDesigns = %+v, %v; want the serial reference %+v", all, err, serial)
+	}
+	for _, id := range sim.AllDesigns {
+		if r, err := SimulateDesign(id, a, b); err != nil || r != serial[id] {
+			t.Errorf("SimulateDesign(%v) = %+v, %v; want %+v", id, r, err, serial[id])
+		}
+	}
+	pruned, err := SimulateAllDesignsPruned(a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	best := sim.BestDesign(serial)
+	if got := sim.BestDesign(pruned); got != best || pruned[best] != serial[best] {
+		t.Errorf("SimulateAllDesignsPruned winner %v %+v; want %v %+v", got, pruned[got], best, serial[best])
+	}
+}

@@ -1,6 +1,7 @@
 package misam
 
 import (
+	"context"
 	"fmt"
 
 	"misam/internal/baseline"
@@ -61,7 +62,7 @@ func DeviceLatencies(a, b *Matrix) ([NumDevices]float64, error) {
 	if err != nil {
 		return out, err
 	}
-	results, err := w.SimulateAll()
+	results, err := w.SimulateAllCtx(context.Background())
 	if err != nil {
 		return out, err
 	}

@@ -407,7 +407,7 @@ func (f *Framework) Serve(ctx context.Context, r *Request) (Report, error) {
 	} else {
 		w := r.workload()
 		f.attachTileCache(w)
-		if res, err = w.SimulateDesignCtx(ctx, dec.Target); err != nil {
+		if res, err = w.SimulateCtx(ctx, sim.GetConfig(dec.Target)); err != nil {
 			return rep, fmt.Errorf("misam: simulate: %w", err)
 		}
 	}
