@@ -84,6 +84,14 @@ echo "==> two-node cluster serving smoke"
 echo "==> wire decoder fuzz smoke (-fuzztime=10s)"
 go test -run '^$' -fuzz 'FuzzDecodeBinary' -fuzztime 10s ./internal/sparse/
 
+# Fingerprint fuzz smoke: 10 s hunting content-key collisions — a
+# single-word change (which the construction makes impossible), a
+# transposition within a section — and a wire fingerprint that differs
+# from the CSR one at some buffer alignment. A collision would let one
+# pair's cached analysis answer for another's.
+echo "==> fingerprint fuzz smoke (-fuzztime=10s)"
+go test -run '^$' -fuzz 'FuzzFingerprint' -fuzztime 10s ./internal/sparse/
+
 # Tile-hash fuzz smoke: 10 s hunting for tile-cache key collisions — a
 # collision would let one tile's memoized schedule answer for another's,
 # silently corrupting cycle counts. The seed corpus runs in the full

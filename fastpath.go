@@ -166,24 +166,34 @@ func (f *Framework) Close() {
 }
 
 // maybeOfferVerify samples 1-in-VerifySample fast hits into the
-// background verifier. The job outlives the request, so it gets operands
-// that own their memory (wire operands alias the request's buffer and
-// pooled scratch) and the request's already-computed key.
+// background verifier. A pair whose full Analysis is already cached is
+// audited from it: the job carries the cached Results, and when it runs
+// it books the cache hit (and recency) the re-analysis would have. Any
+// other pair's job outlives the request, so it gets operands that own
+// their memory (wire operands alias the request's buffer and pooled
+// scratch) and the request's already-computed key.
 func (f *Framework) maybeOfferVerify(fp *fastPath, r *Request, version uint64, v FeatureVector, proposed Design) {
 	if fp.verifier == nil || fp.cfg.VerifySample <= 0 ||
 		(fp.verifySeq.Add(1)-1)%int64(fp.cfg.VerifySample) != 0 {
 		return
 	}
-	audit := &Request{Workload: r.ownedWorkload(), key: r.key, keyed: r.keyed}
-	// The audit re-simulates a pair the serving path just built; with the
-	// shared tile cache attached, its schedules come from that run's
-	// memoized tiles instead of being recomputed.
-	f.attachTileCache(audit.Workload)
-	fp.verifier.Offer(online.VerifyJob{
-		Features:     v,
-		Predicted:    proposed,
-		ModelVersion: version,
-		Simulate: func(ctx context.Context) ([sim.NumDesigns]sim.Result, error) {
+	job := online.VerifyJob{Features: v, Predicted: proposed, ModelVersion: version}
+	if an, ok := f.cachedAnalysis(r); ok {
+		key := r.key
+		job.Simulate = func(ctx context.Context) ([sim.NumDesigns]sim.Result, error) {
+			if err := ctx.Err(); err != nil {
+				return [sim.NumDesigns]sim.Result{}, err
+			}
+			f.cache.Get(key)
+			return an.Results, nil
+		}
+	} else {
+		audit := &Request{Workload: r.ownedWorkload(), key: r.key, keyed: r.keyed}
+		// The audit re-simulates a pair the serving path just built; with
+		// the shared tile cache attached, its schedules come from that
+		// run's memoized tiles instead of being recomputed.
+		f.attachTileCache(audit.Workload)
+		job.Simulate = func(ctx context.Context) ([sim.NumDesigns]sim.Result, error) {
 			// With a cache enabled the audit also warms the pair's full
 			// Analysis for future requests.
 			an, err := f.analysis(ctx, audit)
@@ -191,6 +201,16 @@ func (f *Framework) maybeOfferVerify(fp *fastPath, r *Request, version uint64, v
 				return [sim.NumDesigns]sim.Result{}, err
 			}
 			return an.Results, nil
-		},
-	})
+		}
+	}
+	fp.verifier.Offer(job)
+}
+
+// cachedAnalysis peeks at the keyed request's resident full Analysis,
+// booking nothing.
+func (f *Framework) cachedAnalysis(r *Request) (*Analysis, bool) {
+	if f.cache == nil || !r.keyed {
+		return nil, false
+	}
+	return f.cache.Peek(r.key)
 }

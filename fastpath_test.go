@@ -2,10 +2,14 @@ package misam
 
 import (
 	"context"
+	"errors"
+	"runtime"
 	"testing"
 	"time"
 
 	"misam/internal/mltree"
+	"misam/internal/online"
+	"misam/internal/sim"
 )
 
 // fastTestPairs generates a deterministic mixed workload, with repeats so
@@ -252,5 +256,197 @@ func TestFastPathSlowEverySampling(t *testing.T) {
 	// diverted.
 	if want := st.Served / 3; st.Slow != want {
 		t.Fatalf("slow %d, want %d of %d served", st.Slow, want, st.Served)
+	}
+}
+
+// wireStream encodes fastTestPairs as wire view pairs.
+func wireStream(t *testing.T) [][2]WireView {
+	var out [][2]WireView
+	for _, p := range fastTestPairs() {
+		va, vb := encodePair(t, p[0], p[1])
+		out = append(out, [2]WireView{va, vb})
+	}
+	return out
+}
+
+// TestFastPathVerifyCachedPairMatchesResimulation: auditing a pair from
+// its cached Analysis is indistinguishable from re-simulating it. Two
+// identically trained frameworks serve one wire stream with repeats,
+// every fast hit audited; the one without a cache copies and
+// re-simulates every audited pair. Verifier counters and collected
+// traces must agree, and the cached framework's memo counters must read
+// what a re-analysis through the cache books: a miss for each pair's
+// first audit and a hit for every repeat.
+func TestFastPathVerifyCachedPairMatchesResimulation(t *testing.T) {
+	opts := TrainOptions{CorpusSize: 90, LatencyCorpusSize: 110, MaxDim: 384, Seed: 5}
+	cfg := FastPathConfig{Confidence: 0, VerifySample: 1, VerifyWorkers: 1, VerifyQueue: 64}
+	var fws [2]*Framework
+	for i := range fws {
+		fw, err := Train(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			fw.WithCache(8 << 20)
+		}
+		fw.WithTraceCapture(256, 1).WithFastPath(cfg)
+		defer fw.Close()
+		fws[i] = fw
+	}
+	cached, resim := fws[0], fws[1]
+
+	ctx := context.Background()
+	dctx, cancel := context.WithTimeout(ctx, time.Minute)
+	defer cancel()
+	for i, p := range wireStream(t) {
+		for _, fw := range fws {
+			if _, err := fw.Serve(ctx, &Request{WireA: p[0], WireB: p[1]}); err != nil {
+				t.Fatalf("request %d: %v", i, err)
+			}
+			// One audit at a time keeps both trace orders deterministic.
+			if err := fw.DrainVerifier(dctx); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	cs, _ := cached.FastPathStats()
+	rs, _ := resim.FastPathStats()
+	if cs != rs {
+		t.Fatalf("fast-path stats diverge:\ncached: %+v\nresim:  %+v", cs, rs)
+	}
+	if cs.Verifier.Verified != cs.Fast {
+		t.Fatalf("verified %d of %d fast hits", cs.Verifier.Verified, cs.Fast)
+	}
+	ct, rt := cached.Traces().Snapshot(), resim.Traces().Snapshot()
+	if len(ct) != len(rt) || len(ct) == 0 {
+		t.Fatalf("%d cached traces, %d re-simulated", len(ct), len(rt))
+	}
+	for i := range ct {
+		if ct[i] != rt[i] {
+			t.Fatalf("trace %d diverges:\ncached: %+v\nresim:  %+v", i, ct[i], rt[i])
+		}
+	}
+	ms, _ := cached.CacheStats()
+	if ms.Misses != ms.FastMisses || ms.Hits != ms.FastHits || ms.Hits == 0 {
+		t.Fatalf("audit cache traffic %+v, want one miss per pair and one hit per repeat", ms)
+	}
+}
+
+// TestFastPathVerifyCachedPairNoCopy: an offer for a pair whose Analysis
+// is cached copies no operands, while an uncached pair's offer still
+// does; a dropped offer books nothing in the cache either way.
+func TestFastPathVerifyCachedPairNoCopy(t *testing.T) {
+	fw, err := Train(TrainOptions{CorpusSize: 90, LatencyCorpusSize: 110, MaxDim: 384, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fw.WithCache(8 << 20).WithFastPath(FastPathConfig{Confidence: 0, VerifySample: 1})
+	ctx := context.Background()
+	a, b := RandUniform(3, 400, 400, 0.05), RandUniform(4, 400, 300, 0.05)
+	va, vb := encodePair(t, a, b)
+	if _, err := fw.Serve(ctx, &Request{WireA: va, WireB: vb}); err != nil {
+		t.Fatal(err)
+	}
+	dctx, cancel := context.WithTimeout(ctx, time.Minute)
+	defer cancel()
+	if err := fw.DrainVerifier(dctx); err != nil {
+		t.Fatal(err)
+	}
+	// With the workers stopped every offer is dropped and nothing else
+	// allocates while the offers are measured.
+	fw.Close()
+
+	hot := &Request{WireA: va, WireB: vb}
+	fw.RequestKey(hot)
+	if _, ok := fw.cachedAnalysis(hot); !ok {
+		t.Fatal("the audited pair's Analysis is not cached")
+	}
+	cold := &Request{}
+	cold.WireA, cold.WireB = encodePair(t, RandUniform(5, 400, 400, 0.05), b)
+	fw.RequestKey(cold)
+
+	before, _ := fw.CacheStats()
+	operands := uint64(va.EncodedLen() + vb.EncodedLen())
+	bytesPerOffer := func(r *Request) uint64 {
+		const n = 20
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		for i := 0; i < n; i++ {
+			fw.maybeOfferVerify(fw.fastpath, r, 1, FeatureVector{}, 0)
+		}
+		runtime.ReadMemStats(&m1)
+		return (m1.TotalAlloc - m0.TotalAlloc) / n
+	}
+	if got := bytesPerOffer(hot); got >= operands/8 {
+		t.Fatalf("cached-pair offer allocates %d B, operands are %d B", got, operands)
+	}
+	if got := bytesPerOffer(cold); got < operands/2 {
+		t.Fatalf("uncached offer allocates %d B; it must copy the %d B of operands", got, operands)
+	}
+	after, _ := fw.CacheStats()
+	if after != before {
+		t.Fatalf("dropped offers touched the cache: before %+v, after %+v", before, after)
+	}
+	if st, _ := fw.FastPathStats(); st.Verifier.Dropped != 40 {
+		t.Fatalf("dropped %d offers, want 40", st.Verifier.Dropped)
+	}
+}
+
+// TestFastPathVerifyOwnsOperands: an uncached pair's audit runs after
+// Serve has returned and the request buffer has been reused, so it must
+// simulate its own copy of the operands.
+func TestFastPathVerifyOwnsOperands(t *testing.T) {
+	fw, err := Train(TrainOptions{CorpusSize: 90, LatencyCorpusSize: 110, MaxDim: 384, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fw.WithCache(8<<20).WithTraceCapture(16, 1)
+	fw.WithFastPath(FastPathConfig{Confidence: 0, VerifySample: 1, VerifyWorkers: 1, VerifyQueue: 8})
+	defer fw.Close()
+
+	// Park the only worker so the audit cannot run before Serve returns.
+	gate := make(chan struct{})
+	fw.fastpath.verifier.Offer(online.VerifyJob{Simulate: func(context.Context) ([sim.NumDesigns]sim.Result, error) {
+		<-gate
+		return [sim.NumDesigns]sim.Result{}, errors.New("parked")
+	}})
+
+	a, b := RandPowerLaw(6, 300, 300, 3000, 1.8), RandUniform(7, 300, 128, 0.05)
+	buf := AppendMatrixBinary(AppendMatrixBinary(nil, a), b)
+	va, rest, err := ParseWireMatrix(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vb, _, err := ParseWireMatrix(rest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if _, err := fw.Serve(ctx, &Request{WireA: va, WireB: vb}); err != nil {
+		t.Fatal(err)
+	}
+	for i := range buf {
+		buf[i] = 0xFF
+	}
+	close(gate)
+	dctx, cancel := context.WithTimeout(ctx, time.Minute)
+	defer cancel()
+	if err := fw.DrainVerifier(dctx); err != nil {
+		t.Fatal(err)
+	}
+
+	want, err := sim.SimulateAllSerial(a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	traces := fw.Traces().Snapshot()
+	if st, _ := fw.FastPathStats(); st.Verifier.Verified != 1 || len(traces) != 1 {
+		t.Fatalf("verifier %+v with %d traces, want the one audit verified", st.Verifier, len(traces))
+	}
+	for _, id := range sim.AllDesigns {
+		if traces[0].Seconds[id] != want[id].Seconds || traces[0].Cycles[id] != want[id].Cycles {
+			t.Fatalf("design %d: audit simulated %v s / %d cycles, the pair takes %v s / %d cycles",
+				id, traces[0].Seconds[id], traces[0].Cycles[id], want[id].Seconds, want[id].Cycles)
+		}
 	}
 }

@@ -31,6 +31,7 @@ import (
 	"sort"
 
 	"misam/internal/memo"
+	"misam/internal/sparse"
 )
 
 // DefaultVNodes is the virtual-node count per member. 64 points per
@@ -83,7 +84,7 @@ func NewRing(members []string, vnodes int) (*Ring, error) {
 		h := hashString(m)
 		for v := 0; v < vnodes; v++ {
 			h += 0x9e3779b97f4a7c15
-			r.points = append(r.points, ringPoint{point: mix64(h), member: mi})
+			r.points = append(r.points, ringPoint{point: sparse.Mix64(h), member: mi})
 		}
 	}
 	sort.Slice(r.points, func(i, j int) bool {
@@ -139,7 +140,7 @@ func hashKey(k memo.Key) uint64 {
 		h ^= uint64(c)
 		h *= 1099511628211
 	}
-	return mix64(h)
+	return sparse.Mix64(h)
 }
 
 // hashString is FNV-64a over the member ID.
@@ -150,14 +151,4 @@ func hashString(s string) uint64 {
 		h *= 1099511628211
 	}
 	return h
-}
-
-// mix64 is the splitmix64 finalizer.
-func mix64(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
 }

@@ -147,3 +147,38 @@ func TestRingSingleMemberOwnsEverything(t *testing.T) {
 		}
 	}
 }
+
+// TestRingOwnerPinned pins ring placement to constants recorded before
+// the ring's splitmix64 finalizer moved to sparse.Mix64: the key fold,
+// the vnode points and the owners of fixed keys must not move, or every
+// deployed node would remap its keyspace on upgrade.
+func TestRingOwnerPinned(t *testing.T) {
+	r, err := NewRing(testMembers(5), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lo, hi := r.points[0].point, r.points[len(r.points)-1].point; lo != 0x4598f8aba2578c || hi != 0xfedf92c0d0cd9019 {
+		t.Fatalf("ring spans [%#x, %#x], want [0x4598f8aba2578c, 0xfedf92c0d0cd9019]", lo, hi)
+	}
+	for _, c := range []struct {
+		key   memo.Key
+		fold  uint64
+		owner string
+	}{
+		{memo.Key{Hi: 0x123456789abcdef, Lo: 0xfedcba9876543210}, 0xe4ba6be94c1a801f, "http://node-4:8080"},
+		{memo.Key{Hi: 0x2468acf13579bde, Lo: 0x60ebc321091e4e05}, 0xf7b761d4ac19b674, "http://node-1:8080"},
+		{memo.Key{Hi: 0x369d0369d0369cd, Lo: 0xc2b249ea88c0ca3a}, 0xc1761729a7d2693c, "http://node-4:8080"},
+		{memo.Key{Hi: 0x48d159e26af37bc, Lo: 0x247ad7b40b8b462f}, 0x6936da2698a3891e, "http://node-4:8080"},
+		{memo.Key{Hi: 0x5b05b05b05b05ab, Lo: 0x86015c7d8b7dc244}, 0x1ce855b5c8a3b1b2, "http://node-2:8080"},
+		{memo.Key{Hi: 0x6d3a06d3a06d39a, Lo: 0xe9c9da070a205e79}, 0x35b83777602b59f0, "http://node-1:8080"},
+		{memo.Key{Hi: 0x7f6e5d4c3b2a189, Lo: 0x4b9060c08deada6e}, 0x8e0a6b16bcf24ae3, "http://node-1:8080"},
+		{memo.Key{Hi: 0x91a2b3c4d5e6f78, Lo: 0xad58ee8a0d5d5683}, 0x8a94ce88dd9b5095, "http://node-3:8080"},
+	} {
+		if got := hashKey(c.key); got != c.fold {
+			t.Errorf("hashKey(%+v) = %#x, want %#x", c.key, got, c.fold)
+		}
+		if got := r.Owner(c.key); got != c.owner {
+			t.Errorf("Owner(%+v) = %s, want %s", c.key, got, c.owner)
+		}
+	}
+}

@@ -63,19 +63,9 @@ func (k Key) Bytes() [16]byte {
 // entries) and re-mixed so that structured fingerprint pairs cannot
 // cancel.
 func PairKey(a, b sparse.Fingerprint) Key {
-	lo := mix(a.Lo ^ mix(b.Hi+0x9e3779b97f4a7c15))
-	hi := mix(a.Hi + mix(b.Lo^0xc2b2ae3d27d4eb4f))
+	lo := sparse.Mix64(a.Lo ^ sparse.Mix64(b.Hi+0x9e3779b97f4a7c15))
+	hi := sparse.Mix64(a.Hi + sparse.Mix64(b.Lo^0xc2b2ae3d27d4eb4f))
 	return Key{Hi: hi ^ (lo >> 32), Lo: lo}
-}
-
-// mix is the splitmix64 finalizer (see sparse.Fingerprint).
-func mix(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
 }
 
 // Analysis holds every design-independent artifact one Analyze (or
@@ -136,7 +126,7 @@ const (
 )
 
 func fastKey(key Key) Key {
-	return Key{Hi: key.Hi ^ fastSaltHi, Lo: mix(key.Lo ^ fastSaltLo)}
+	return Key{Hi: key.Hi ^ fastSaltHi, Lo: sparse.Mix64(key.Lo ^ fastSaltLo)}
 }
 
 // Stats is a point-in-time snapshot of the cache counters.
@@ -251,6 +241,20 @@ func (c *Cache) Get(key Key) (*Analysis, bool) {
 		return nil, false
 	}
 	c.hits.Add(1)
+	return el.Value.(*entry).val.(*Analysis), true
+}
+
+// Peek returns the resident full-analysis entry for key, if any,
+// without counting a hit or refreshing its recency: a look that books
+// nothing, for callers that decide later whether they use the entry.
+func (c *Cache) Peek(key Key) (*Analysis, bool) {
+	sh := c.shard(key)
+	sh.mu.Lock()
+	el, ok := sh.items[key]
+	sh.mu.Unlock()
+	if !ok {
+		return nil, false
+	}
 	return el.Value.(*entry).val.(*Analysis), true
 }
 

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"misam/internal/features"
+	"misam/internal/sparse"
 )
 
 // shardKey builds a key that lands in shard 0, with i distinguishing
@@ -445,5 +446,18 @@ func TestDoFastBuildError(t *testing.T) {
 	})
 	if err != nil || hit || got.Features[0] != 9 {
 		t.Fatalf("retry after error = (%v, %v, %v), want fresh miss", got.Features[0], hit, err)
+	}
+}
+
+// TestPairKeyPinned pins PairKey and the fast-entry salt to constants
+// recorded before memo's splitmix64 finalizer moved to sparse.Mix64:
+// cache keys must not move when the mixer's home does.
+func TestPairKeyPinned(t *testing.T) {
+	k := PairKey(sparse.Fingerprint{Hi: 1, Lo: 2}, sparse.Fingerprint{Hi: 3, Lo: 4})
+	if want := (Key{Hi: 0x1f43eea504422c1, Lo: 0x3e4e98c3ee83c1e8}); k != want {
+		t.Fatalf("PairKey = %+v, want %+v", k, want)
+	}
+	if got, want := fastKey(k), (Key{Hi: 0xf0a3990fa1138524, Lo: 0x98f0e70159014d3c}); got != want {
+		t.Fatalf("fastKey = %+v, want %+v", got, want)
 	}
 }

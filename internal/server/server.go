@@ -706,12 +706,12 @@ func (s *Server) readBody(w http.ResponseWriter, r *http.Request) (*bytes.Buffer
 		buf.Grow(int(n) + bytes.MinRead)
 	}
 	if _, err := buf.ReadFrom(r.Body); err != nil {
+		bodyPool.Put(buf)
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			return nil, &httpError{http.StatusRequestEntityTooLarge,
 				fmt.Errorf("request body exceeds %d bytes", tooBig.Limit)}
 		}
-		bodyPool.Put(buf)
 		return nil, &httpError{http.StatusBadRequest, fmt.Errorf("reading body: %w", err)}
 	}
 	return buf, nil

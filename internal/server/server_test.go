@@ -370,6 +370,43 @@ func TestBodyTooLarge(t *testing.T) {
 	}
 }
 
+// TestBodyTooLargeRecyclesBuffer: a 413 hands its body buffer back to
+// the pool like every other read error, and the server keeps serving.
+// sync.Pool gives no guarantee that a Put buffer comes back (the race
+// detector drops some Puts on purpose), so the pool check retries; a
+// buffer that is never returned can never come back.
+func TestBodyTooLargeRecyclesBuffer(t *testing.T) {
+	s := NewWithConfig(trainedFW(t), Config{MaxBodyBytes: 256})
+	big := strings.Repeat("x", 1024)
+	recycled := false
+	for try := 0; try < 50 && !recycled; try++ {
+		sentinel := new(bytes.Buffer)
+		bodyPool.Put(sentinel)
+		req := httptest.NewRequest(http.MethodPost, "/v1/analyze", strings.NewReader(big))
+		if _, herr := s.readBody(httptest.NewRecorder(), req); herr == nil || herr.status != http.StatusRequestEntityTooLarge {
+			t.Fatalf("oversize body: got %v, want 413", herr)
+		}
+		recycled = bodyPool.Get().(*bytes.Buffer) == sentinel
+	}
+	if !recycled {
+		t.Fatal("the 413 path never returned its body buffer to the pool")
+	}
+
+	srv := httptest.NewServer(s.Handler())
+	t.Cleanup(srv.Close)
+	resp, err := http.Post(srv.URL+"/v1/analyze", "application/json", strings.NewReader(big))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("status %d, want 413", resp.StatusCode)
+	}
+	if resp, out := postAnalyze(t, srv, map[string]any{"a_spec": "uniform:64:64:0.1", "b_spec": "dense:8", "seed": 1}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("valid body after a 413: status %d (%v)", resp.StatusCode, out)
+	}
+}
+
 // TestSpecNNZCaps: generator specs whose estimated entry count would
 // allocate unbounded memory are rejected up front.
 func TestSpecNNZCaps(t *testing.T) {

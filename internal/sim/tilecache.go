@@ -3,6 +3,8 @@ package sim
 import (
 	"sync"
 	"sync/atomic"
+
+	"misam/internal/sparse"
 )
 
 // TileCache memoizes per-tile schedule outcomes across simulations. The
@@ -164,8 +166,8 @@ func (c *TileCache) Stats() TileCacheStats {
 // reuse the schedule correctly.
 //
 // Construction: two polynomial accumulator lanes with distinct odd
-// multipliers over per-element compression words, cross-finalized with a
-// splitmix-style mixer. Polynomial accumulation keeps the per-element cost
+// multipliers over per-element compression words, cross-finalized with
+// sparse.Mix64 (splitmix64). Polynomial accumulation keeps the per-element cost
 // to a few arithmetic ops (the hash runs at lookup time, inside the
 // simulation loop), while the 128-bit width makes accidental collisions —
 // which would silently corrupt a Result — negligible; FuzzTileStreamHash
@@ -178,26 +180,15 @@ const (
 	tileHashM4 = 0xc4ceb9fe1a85ec53 // element compression multiplier
 )
 
-// tileMix64 is the splitmix64 finalizer, used to derive salts and to
-// cross-finalize the two polynomial lanes.
-func tileMix64(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
-}
-
 // tileSalt derives the per-config hash salt from the schedule-relevant
 // Config fields.
 func tileSalt(cfg Config) uint64 {
-	s := tileMix64(0x6d697361_6d2d7469 ^ uint64(cfg.SchedulerA))
-	s = tileMix64(s ^ uint64(cfg.PEG))
-	s = tileMix64(s ^ uint64(cfg.PEsPerPEG))
-	s = tileMix64(s ^ uint64(cfg.DepGapCycles))
-	s = tileMix64(s ^ uint64(cfg.WindowSize))
-	s = tileMix64(s ^ uint64(cfg.ACC))
+	s := sparse.Mix64(0x6d697361_6d2d7469 ^ uint64(cfg.SchedulerA))
+	s = sparse.Mix64(s ^ uint64(cfg.PEG))
+	s = sparse.Mix64(s ^ uint64(cfg.PEsPerPEG))
+	s = sparse.Mix64(s ^ uint64(cfg.DepGapCycles))
+	s = sparse.Mix64(s ^ uint64(cfg.WindowSize))
+	s = sparse.Mix64(s ^ uint64(cfg.ACC))
 	return s
 }
 
@@ -205,7 +196,7 @@ func tileSalt(cfg Config) uint64 {
 // returning a 128-bit key that is never (0, 0).
 func hashTileElems(elems []Elem, rowWise bool, salt uint64) (hi, lo uint64) {
 	lo = salt ^ (uint64(len(elems)) * tileHashM1)
-	hi = tileMix64(salt + uint64(len(elems)))
+	hi = sparse.Mix64(salt + uint64(len(elems)))
 	if rowWise {
 		for i := range elems {
 			e := &elems[i]
@@ -225,8 +216,8 @@ func hashTileElems(elems []Elem, rowWise bool, salt uint64) (hi, lo uint64) {
 			hi = hi*tileHashM2 + x2
 		}
 	}
-	fhi := tileMix64(hi ^ (lo >> 32))
-	flo := tileMix64(lo ^ hi)
+	fhi := sparse.Mix64(hi ^ (lo >> 32))
+	flo := sparse.Mix64(lo ^ hi)
 	if fhi == 0 && flo == 0 {
 		flo = 1 // reserve (0, 0) as the empty-slot sentinel
 	}

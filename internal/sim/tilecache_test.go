@@ -348,3 +348,22 @@ func TestScheduleWindowedMatchesReference(t *testing.T) {
 		}
 	}
 }
+
+// TestTileHashPinned pins the per-config salts and the tile stream hash
+// to constants recorded before the tile cache's splitmix64 finalizer
+// moved to sparse.Mix64.
+func TestTileHashPinned(t *testing.T) {
+	want := [NumDesigns]uint64{0x110852734c48fb14, 0x5d0d8e4b87ac8fd4, 0x23a0c8efed2812dd, 0x110852734c48fb14}
+	for i, d := range AllDesigns {
+		if got := tileSalt(GetConfig(d)); got != want[i] {
+			t.Errorf("tileSalt(design %d) = %#x, want %#x", d, got, want[i])
+		}
+	}
+	elems := []Elem{{Row: 1, Col: 2, Service: 3}, {Row: 4, Col: 5, Service: 6}}
+	if hi, lo := hashTileElems(elems, true, want[0]); hi != 0x84344e481f05fda0 || lo != 0xfa5b7ae5583e3158 {
+		t.Errorf("row-wise tile hash = (%#x, %#x), want (0x84344e481f05fda0, 0xfa5b7ae5583e3158)", hi, lo)
+	}
+	if hi, lo := hashTileElems(elems, false, want[3]); hi != 0x588032444e305b0c || lo != 0x3f62f14d5d34ea0 {
+		t.Errorf("column-wise tile hash = (%#x, %#x), want (0x588032444e305b0c, 0x3f62f14d5d34ea0)", hi, lo)
+	}
+}

@@ -33,10 +33,13 @@ package sparse
 // input cannot smuggle a malformed matrix past the fingerprint into the
 // cache or the simulator.
 //
+// On an 8-aligned buffer (on aliasable hosts) validation and hashing
+// walk the sections as aliased []uint64; a misaligned buffer takes
+// byte-wise walks that give the same verdicts and the same words.
 // Fingerprints are computed directly over the wire image
-// (WireView.Fingerprint) and are bit-identical to CSR.Fingerprint() on
-// the decoded struct, so a warm cache hit never needs to materialize the
-// matrix at all.
+// (WireView.Fingerprint, the sectioned lane hash of fingerprint.go) and
+// are bit-identical to CSR.Fingerprint() on the decoded struct, so a
+// warm cache hit never needs to materialize the matrix at all.
 
 import (
 	"encoding/binary"
@@ -200,56 +203,104 @@ func ParseWire(buf []byte) (WireView, []byte, error) {
 	}
 	v := WireView{buf: buf[:need], rows: int(rows), cols: int(cols), nnz: int(nnz)}
 	rp, ci, _ := v.sections()
-
-	// RowPtr: starts at 0, never decreases, ends exactly at nnz.
-	if got := binary.LittleEndian.Uint64(rp[:8]); got != 0 {
-		return WireView{}, nil, wireErr("RowPtr[0] = %d, want 0", got)
+	var err error
+	if v.aligned() {
+		err = validateWords(aliasWords(rp), aliasWords(ci), cols, nnz)
+	} else {
+		err = validateBytes(rp, ci, cols, nnz)
 	}
-	prev := uint64(0)
-	for off := 8; off < len(rp); off += 8 {
-		p := binary.LittleEndian.Uint64(rp[off:])
-		if p < prev || p > nnz {
-			return WireView{}, nil, wireErr("RowPtr not monotone in [0, nnz] at row %d", off/8)
-		}
-		prev = p
-	}
-	if prev != nnz {
-		return WireView{}, nil, wireErr("RowPtr[rows] = %d, want nnz %d", prev, nnz)
-	}
-	// ColIdx: strictly increasing within each row, all in [0, cols).
-	lo := uint64(0)
-	for r := 0; r < int(rows); r++ {
-		hi := binary.LittleEndian.Uint64(rp[8*(r+1):])
-		prevCol := uint64(math.MaxUint64)
-		for i := lo; i < hi; i++ {
-			c := binary.LittleEndian.Uint64(ci[8*i:])
-			if c >= cols {
-				return WireView{}, nil, wireErr("column %d out of range in row %d", c, r)
-			}
-			if prevCol != math.MaxUint64 && c <= prevCol {
-				return WireView{}, nil, wireErr("columns not strictly increasing in row %d", r)
-			}
-			prevCol = c
-		}
-		lo = hi
+	if err != nil {
+		return WireView{}, nil, err
 	}
 	return v, buf[need:], nil
 }
 
+// validateWords checks the CSR invariants over aliased RowPtr and ColIdx
+// sections: RowPtr starts at 0, never decreases and ends exactly at nnz;
+// within each row the columns are strictly increasing and below cols.
+func validateWords(rp, ci []uint64, cols, nnz uint64) error {
+	if rp[0] != 0 {
+		return wireErr("RowPtr[0] = %d, want 0", rp[0])
+	}
+	prev := uint64(0)
+	for r, p := range rp[1:] {
+		if p < prev || p > nnz {
+			return wireErr("RowPtr not monotone in [0, nnz] at row %d", r+1)
+		}
+		prev = p
+	}
+	if prev != nnz {
+		return wireErr("RowPtr[rows] = %d, want nnz %d", prev, nnz)
+	}
+	lo := uint64(0)
+	for r, hi := range rp[1:] {
+		next := uint64(0) // the smallest column the row may hold next
+		for _, c := range ci[lo:hi] {
+			if c < next || c >= cols {
+				return columnErr(c, cols, r)
+			}
+			next = c + 1
+		}
+		lo = hi
+	}
+	return nil
+}
+
+// validateBytes is validateWords reading little-endian words from
+// sections at any alignment.
+func validateBytes(rp, ci []byte, cols, nnz uint64) error {
+	le := binary.LittleEndian
+	if got := le.Uint64(rp); got != 0 {
+		return wireErr("RowPtr[0] = %d, want 0", got)
+	}
+	prev := uint64(0)
+	for off := 8; off < len(rp); off += 8 {
+		p := le.Uint64(rp[off:])
+		if p < prev || p > nnz {
+			return wireErr("RowPtr not monotone in [0, nnz] at row %d", off/8)
+		}
+		prev = p
+	}
+	if prev != nnz {
+		return wireErr("RowPtr[rows] = %d, want nnz %d", prev, nnz)
+	}
+	lo := uint64(0)
+	for r := 0; 8*(r+1) < len(rp); r++ {
+		hi := le.Uint64(rp[8*(r+1):])
+		next := uint64(0)
+		for i := lo; i < hi; i++ {
+			c := le.Uint64(ci[8*i:])
+			if c < next || c >= cols {
+				return columnErr(c, cols, r)
+			}
+			next = c + 1
+		}
+		lo = hi
+	}
+	return nil
+}
+
+// columnErr reports why column c cannot follow its row's previous
+// column.
+func columnErr(c, cols uint64, row int) error {
+	if c >= cols {
+		return wireErr("column %d out of range in row %d", c, row)
+	}
+	return wireErr("columns not strictly increasing in row %d", row)
+}
+
 // Fingerprint hashes the matrix content straight off the wire words,
-// without materializing a CSR. The word sequence — Rows, Cols, RowPtr,
-// ColIdx, Val bits — is exactly what CSR.Fingerprint hashes, so the
+// without materializing a CSR. The dimensions and the RowPtr, ColIdx and
+// Val-bit sections are exactly what CSR.Fingerprint hashes, so the
 // results are identical: the analysis cache can be probed from the raw
 // request bytes, and a warm hit never decodes.
 func (w WireView) Fingerprint() Fingerprint {
-	h := newHash128()
-	h.word(uint64(w.rows))
-	h.word(uint64(w.cols))
-	body := w.buf[wireHeaderBytes:]
-	for off := 0; off < len(body); off += 8 {
-		h.word(binary.LittleEndian.Uint64(body[off:]))
-	}
-	return h.sum()
+	rp, ci, va := w.sections()
+	al := w.aligned()
+	return combine(w.rows, w.cols,
+		hashWireSection(tagRowPtr, rp, al),
+		hashWireSection(tagColIdx, ci, al),
+		hashWireSection(tagVal, va, al))
 }
 
 // aligned reports whether the blob's word sections can be aliased
@@ -277,6 +328,12 @@ func aliasFloats(b []byte, n int) []float64 {
 		return []float64{}
 	}
 	return unsafe.Slice((*float64)(unsafe.Pointer(unsafe.SliceData(b))), n)
+}
+
+// aliasWords is aliasInts for validation and hashing, which read raw
+// words.
+func aliasWords(b []byte) []uint64 {
+	return unsafe.Slice((*uint64)(unsafe.Pointer(unsafe.SliceData(b))), len(b)/8)
 }
 
 // growInts returns s resized to n, reusing capacity.

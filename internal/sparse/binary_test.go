@@ -223,8 +223,17 @@ func TestDecodeBinaryRejectsMalformed(t *testing.T) {
 	}
 	for name, mutate := range cases {
 		b := mutate(bytes.Clone(enc))
-		if _, err := DecodeBinary(b); !errors.Is(err, ErrWire) {
+		_, err := DecodeBinary(b)
+		if !errors.Is(err, ErrWire) {
 			t.Errorf("%s: got %v, want ErrWire", name, err)
+		}
+		// The byte-wise validator behind misaligned buffers must give the
+		// aligned word-wise one's verdict, message included.
+		for off := 1; off < 8; off++ {
+			shifted := append(make([]byte, off, off+len(b)), b...)[off:]
+			if _, serr := DecodeBinary(shifted); serr == nil || serr.Error() != err.Error() {
+				t.Errorf("%s at offset %d: got %v, aligned got %v", name, off, serr, err)
+			}
 		}
 	}
 	// The untouched encoding still decodes (the mutations above are the
@@ -302,7 +311,7 @@ func FuzzDecodeBinary(f *testing.F) {
 	})
 }
 
-func mustView(t *testing.T, data []byte) WireView {
+func mustView(t testing.TB, data []byte) WireView {
 	v, _, err := ParseWire(data)
 	if err != nil {
 		t.Fatal(err)
